@@ -7,7 +7,6 @@ Usage::
     python -m repro run all [--quick]     # every experiment, in order
     python -m repro sweep --designs direct,accord:2,sws:8:2 [-j 8]
     python -m repro profile soplex        # workload trace characteristics
-    python -m repro bench --quick         # hot-loop throughput (acc/s)
     python -m repro info                  # system configuration summary
     python -m repro serve -j 4            # long-lived sweep service (HTTP)
     python -m repro submit --designs direct,accord:2 --quick   # client
@@ -394,143 +393,6 @@ def _cmd_sweep(args: argparse.Namespace,
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace,
-               parser: argparse.ArgumentParser) -> int:
-    from repro.errors import ReproError
-    from repro.sim.bench import (
-        DEFAULT_ACCESSES,
-        QUICK_ACCESSES,
-        SWEEP_CONFIGS,
-        compare_hit_rates,
-        compare_sweep_to_baseline,
-        compare_to_baseline,
-        format_report,
-        format_scaling_report,
-        format_sweep_report,
-        load_report,
-        run_bench,
-        run_shard_scaling,
-        run_sweep_bench,
-        save_report,
-    )
-
-    accesses = args.accesses
-    if accesses is None:
-        accesses = QUICK_ACCESSES if args.quick else DEFAULT_ACCESSES
-    if accesses <= 0:
-        parser.error("--accesses must be positive")
-    if not 0.0 < args.scale <= 1.0:
-        parser.error("--scale must be in (0, 1]")
-    if not 0.0 <= args.max_regression < 1.0:
-        parser.error("--max-regression must be a fraction in [0, 1)")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.shard_scaling and args.shards < 2:
-        parser.error("--shard-scaling needs --shards >= 2")
-    if args.configs is not None and not args.sweep:
-        parser.error("--configs only applies with --sweep")
-    if args.sweep:
-        if args.shards != 1 or args.shard_scaling:
-            parser.error("--sweep and --shards are mutually exclusive")
-        configs = SWEEP_CONFIGS if args.configs is None else args.configs
-        if configs < 2:
-            parser.error("--configs must be >= 2")
-        try:
-            report = run_sweep_bench(
-                workload=args.workload,
-                num_accesses=accesses,
-                seed=args.seed,
-                scale=args.scale,
-                repeats=args.repeats,
-                configs=configs,
-            )
-        except ReproError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        print(format_sweep_report(report))
-        if args.json:
-            save_report(report, args.json)
-            print(f"wrote {args.json}")
-        if args.baseline:
-            try:
-                baseline = load_report(args.baseline)
-            except ReproError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-            verdict = compare_sweep_to_baseline(
-                report, baseline, args.max_regression
-            )
-            if verdict is not None:
-                print(f"FAIL: {verdict}", file=sys.stderr)
-                return 1
-            print(
-                f"baseline check OK ({report['speedup']:.2f}x vs "
-                f"{baseline['speedup']:.2f}x in {args.baseline})"
-            )
-        return 0
-    if args.shard_scaling:
-        try:
-            report = run_shard_scaling(
-                workload=args.workload,
-                num_accesses=accesses,
-                seed=args.seed,
-                scale=args.scale,
-                repeats=args.repeats,
-                shards=args.shards,
-            )
-        except ReproError as exc:
-            print(f"FAIL: {exc}", file=sys.stderr)
-            return 1
-        print(format_scaling_report(report))
-        if args.json:
-            save_report(report, args.json)
-            print(f"wrote {args.json}")
-        return 0
-    try:
-        report = run_bench(
-            workload=args.workload,
-            num_accesses=accesses,
-            seed=args.seed,
-            scale=args.scale,
-            repeats=args.repeats,
-            shards=args.shards,
-            engine=args.engine,
-        )
-    except ReproError as exc:
-        parser.error(str(exc))
-    print(format_report(report))
-    if args.json:
-        save_report(report, args.json)
-        print(f"wrote {args.json}")
-    if args.check_hit_rates:
-        try:
-            reference = load_report(args.check_hit_rates)
-        except ReproError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        mismatch = compare_hit_rates(report, reference)
-        if mismatch is not None:
-            print(f"FAIL: {mismatch}", file=sys.stderr)
-            return 1
-        print(f"hit rates identical to {args.check_hit_rates}")
-    if args.baseline:
-        try:
-            baseline = load_report(args.baseline)
-        except ReproError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        verdict = compare_to_baseline(report, baseline, args.max_regression)
-        if verdict is not None:
-            print(f"FAIL: {verdict}", file=sys.stderr)
-            return 1
-        ratio = (
-            report["aggregate_accesses_per_sec"]
-            / baseline["aggregate_accesses_per_sec"]
-        )
-        print(f"baseline check OK ({ratio:.2f}x of {args.baseline})")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     import asyncio
@@ -776,59 +638,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 help="drive engine the shard attribution is "
                                      "timed under (default stream, the shard "
                                      "workers' batched loop)")
-    bench_parser = sub.add_parser(
-        "bench",
-        help="measure functional-simulator throughput (accesses/sec)",
-    )
-    bench_parser.add_argument("--workload", default="soplex",
-                              help="workload to trace (default soplex)")
-    bench_parser.add_argument("--accesses", type=int, default=None,
-                              help="trace length (default 150000, "
-                                   "or 40000 with --quick)")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="short benchmark for CI smoke runs")
-    bench_parser.add_argument("--seed", type=int, default=7)
-    bench_parser.add_argument("--scale", type=float, default=1.0 / 128.0,
-                              help="system scale factor in (0, 1] "
-                                   "(default 1/128: 32MB cache)")
-    bench_parser.add_argument("--repeats", type=int, default=3,
-                              help="timed runs per design; best is kept "
-                                   "(default 3)")
-    bench_parser.add_argument("--json", default=None,
-                              help="write the report as JSON to this path")
-    bench_parser.add_argument("--baseline", default=None,
-                              help="compare against a committed report; "
-                                   "exit 1 on regression")
-    bench_parser.add_argument("--max-regression", type=float, default=0.30,
-                              dest="max_regression",
-                              help="tolerated aggregate slowdown vs the "
-                                   "baseline, as a fraction (default 0.30)")
-    bench_parser.add_argument("--shards", type=int, default=1,
-                              help="set-range shards per run; shardable "
-                                   "designs split across a worker pool with "
-                                   "a bit-identical merge (default 1)")
-    bench_parser.add_argument("--shard-scaling", action="store_true",
-                              dest="shard_scaling",
-                              help="run the bench at shards=1 and --shards N "
-                                   "and report the speedup (BENCH_shard.json)")
-    bench_parser.add_argument("--engine", default="auto",
-                              choices=("auto", "vector", "replay", "stream", "loop"),
-                              help="drive engine to benchmark; designs the "
-                                   "engine cannot drive exactly fall back "
-                                   "down the chain (default auto)")
-    bench_parser.add_argument("--sweep", action="store_true",
-                              help="time a same-trace config matrix: "
-                                   "per-job vs batched (fused kernel) "
-                                   "execution, reported in jobs/sec "
-                                   "(BENCH_sweep.json)")
-    bench_parser.add_argument("--configs", type=int, default=None,
-                              help="config-matrix size for --sweep "
-                                   "(default 16)")
-    bench_parser.add_argument("--check-hit-rates", default=None,
-                              dest="check_hit_rates", metavar="PATH",
-                              help="assert per-design hit rates are exactly "
-                                   "identical to a reference report; exit 1 "
-                                   "on any difference (CI determinism gate)")
     serve_parser = sub.add_parser(
         "serve",
         help="run the long-lived sweep service (HTTP, see docs/service.md)",
@@ -950,8 +759,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_sweep(args, parser)
     if args.command == "profile":
         return _cmd_profile(args, parser)
-    if args.command == "bench":
-        return _cmd_bench(args, parser)
     if args.command == "serve":
         return _cmd_serve(args, parser)
     if args.command == "submit":

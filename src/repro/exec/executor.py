@@ -759,11 +759,13 @@ class Executor:
                     pool = self._acquire_pool(len(remaining))
                     for key in remaining:
                         clear_claim(claims, key.digest())
-                    futures = {
-                        self._submit(pool, item, claims): item
-                        for item in remaining
-                    }
                     try:
+                        # Submitting can itself raise BrokenProcessPool
+                        # when a worker dies before the last submit.
+                        futures = {
+                            self._submit(pool, item, claims): item
+                            for item in remaining
+                        }
                         self._drain(
                             pool, futures, remaining, results, attempts,
                             claims,

@@ -6,7 +6,7 @@ Run any experiment as ``python -m repro.experiments.<module>``;
 
 Module -> paper artifact mapping lives in DESIGN.md §4; every module
 exposes ``run(settings) -> str`` returning the formatted report that
-``main()`` prints, so benchmarks and tests can drive the same code.
+``main()`` prints, so the benchmark and tests can drive the same code.
 """
 
 EXPERIMENT_MODULES = [

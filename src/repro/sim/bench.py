@@ -1,68 +1,22 @@
-"""Functional-simulator throughput benchmark (``python -m repro bench``).
+"""The shared design sets that tests and the benchmark run.
 
-Measures accesses simulated per wall-clock second for every benchmark
-design variant — the hot-loop metric the fast path (scalar tag store,
-precomputed address streams, batched :meth:`AccessPath.run_stream`)
-optimizes. The 16 variants cover every design kind plus the
-higher-associativity ACCORD and SWS configurations, so a regression in
-any specialized code path (static candidates, way-predicted lookup, the
-CA fallback loop) shows up in its own row.
-
-The JSON report (``BENCH_hotloop.json``) is self-describing::
-
-    {
-      "schema": 1,
-      "workload": "soplex", "num_accesses": 40000, "seed": 7,
-      "scale": 0.0078125, "warmup": 0.3, "repeats": 3,
-      "designs": [
-        {"design": "direct-1way", "kind": "direct", "ways": 1,
-         "accesses_per_sec": ..., "elapsed_sec": ..., "hit_rate": ...},
-        ...
-      ],
-      "aggregate_accesses_per_sec": ...
-    }
-
-Per-design ``accesses_per_sec`` takes the best of ``repeats`` timed
-runs (minimum wall time — the standard way to suppress scheduler
-noise); the aggregate is total accesses over total best-run time.
-Wall-clock numbers are machine-relative: compare a report only against
-a baseline measured on comparable hardware (CI measures both sides on
-the same runner class).
+:data:`BENCH_DESIGNS` is deliberately heterogeneous: every design kind,
+so every specialized code path (static candidates, way-predicted
+lookup, the CA fallback loop) is exercised by the engine equivalence
+tests, the batching tests and ``perfbench/``. :func:`sweep_designs` is
+its homogeneous counterpart: one design family across a parameter
+grid, the case the batch planner fuses into a single multi-config pass.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 from repro.core.accord import AccordDesign
-from repro.core.protocols import cache_is_shardable
-from repro.errors import ReproError
-from repro.params.system import scaled_system
-from repro.sim.engines import resolve_engine
-from repro.sim.runner import TraceFactory
-from repro.sim.shard import (
-    effective_shard_count,
-    run_sharded,
-    warn_serial_fallback,
-)
-from repro.sim.system import Simulator, build_dram_cache
 
-BENCH_SCHEMA_VERSION = 1
-
-DEFAULT_WORKLOAD = "soplex"
-DEFAULT_ACCESSES = 150_000
-QUICK_ACCESSES = 40_000
-DEFAULT_SEED = 7
-DEFAULT_SCALE = 1.0 / 128.0
-DEFAULT_WARMUP = 0.3
-DEFAULT_REPEATS = 3
-
-#: The benchmark's 16 design variants: every kind at its canonical
-#: associativity, plus the 4-way ACCORD and 4-hash SWS configurations
-#: the paper evaluates. Shared with the fast-path equivalence tests so
+#: The 16 design variants: every kind at its canonical associativity,
+#: plus the 4-way ACCORD and 4-hash SWS configurations the paper
+#: evaluates. Shared with the fast-path equivalence tests so
 #: "benchmarked" and "proven bit-identical" stay the same set.
 BENCH_DESIGNS: Tuple[AccordDesign, ...] = (
     AccordDesign(kind="direct", ways=1),
@@ -83,480 +37,24 @@ BENCH_DESIGNS: Tuple[AccordDesign, ...] = (
     AccordDesign(kind="ca", ways=1),
 )
 
-
-def run_bench(
-    workload: str = DEFAULT_WORKLOAD,
-    num_accesses: int = DEFAULT_ACCESSES,
-    seed: int = DEFAULT_SEED,
-    scale: float = DEFAULT_SCALE,
-    warmup: float = DEFAULT_WARMUP,
-    repeats: int = DEFAULT_REPEATS,
-    designs: Sequence[AccordDesign] = BENCH_DESIGNS,
-    shards: int = 1,
-    engine: str = "auto",
-) -> Dict[str, Any]:
-    """Time every design on one trace; returns the JSON-ready report.
-
-    With ``shards > 1``, each shardable design's run is split into
-    set-range shards executed by a worker pool and merged
-    (:func:`repro.sim.shard.run_sharded`) — hit rates are bit-identical
-    to serial by construction, which the ``--check-hit-rates`` gate
-    asserts against a serial report. Serial-only designs (GWS, ACCORD,
-    SWS, dueling, CA) keep their exact serial path and record
-    ``"shards": 1``. The shared trace is sharded once up front
-    (memoized per geometry), so shard planning is excluded from the
-    timed region the same way ``split_columns`` precomputation is.
-
-    ``engine`` requests a drive engine (:mod:`repro.sim.engines`);
-    designs the requested engine cannot drive exactly fall back down
-    the chain with a one-time warning, and each row records the engine
-    that actually ran. Engine resolution happens on a probe cache
-    outside the timed region.
-    """
-    if repeats < 1:
-        raise ReproError("bench needs at least one repeat")
-    factory = TraceFactory(scaled_system(ways=1, scale=scale), num_accesses, seed)
-    trace = factory.trace_for(workload)
-    rows: List[Dict[str, Any]] = []
-    total_accesses = 0
-    total_time = 0.0
-    engine_totals: Dict[str, List[float]] = {}
-    for design in designs:
-        config = scaled_system(ways=design.ways, scale=scale)
-        probe = build_dram_cache(design, config, seed=seed)
-        # Resolve the engine once per design on the probe cache so
-        # fallback warnings and plan eligibility checks stay outside
-        # the timed region.
-        engine_name = resolve_engine(
-            probe, requested=engine, design=design
-        ).name
-        effective = 1
-        if shards > 1:
-            if cache_is_shardable(probe):
-                effective = effective_shard_count(
-                    shards, probe.geometry.num_sets
-                )
-                # Warm the per-geometry shard memo (and split cache)
-                # outside the timed region, mirroring split_columns.
-                trace.shard(probe.geometry, effective)
-            else:
-                warn_serial_fallback(design, probe)
-        best = None
-        hit_rate = 0.0
-        for _ in range(repeats):
-            if effective > 1:
-                start = time.perf_counter()
-                result = run_sharded(
-                    config, design, trace,
-                    warmup=warmup, shards=effective, seed=seed,
-                    engine=engine_name,
-                )
-                elapsed = time.perf_counter() - start
-            else:
-                simulator = Simulator(config, design, seed=seed)
-                start = time.perf_counter()
-                result = simulator.run(
-                    trace, warmup_fraction=warmup, engine=engine_name
-                )
-                elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-                hit_rate = result.hit_rate
-        rows.append(
-            {
-                "design": design.display_name,
-                "kind": design.kind,
-                "ways": design.ways,
-                "shards": effective,
-                "engine": engine_name,
-                "accesses_per_sec": len(trace) / best,
-                "elapsed_sec": best,
-                "hit_rate": hit_rate,
-            }
-        )
-        total_accesses += len(trace)
-        total_time += best
-        bucket = engine_totals.setdefault(engine_name, [0, 0.0])
-        bucket[0] += len(trace)
-        bucket[1] += best
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "workload": workload,
-        "num_accesses": num_accesses,
-        "seed": seed,
-        "scale": scale,
-        "warmup": warmup,
-        "repeats": repeats,
-        "shards": shards,
-        "engine": engine,
-        "designs": rows,
-        "aggregate_accesses_per_sec": total_accesses / total_time,
-        # Sub-aggregates keyed by the engine that actually ran, so a
-        # regression on one path cannot hide behind gains on another
-        # in the single mixed aggregate (compare_to_baseline gates
-        # each sub-aggregate when both reports carry them).
-        "per_engine_accesses_per_sec": {
-            name: accesses / elapsed
-            for name, (accesses, elapsed) in sorted(engine_totals.items())
-        },
-    }
-
-
-def format_report(report: Dict[str, Any]) -> str:
-    """Human-readable table for one :func:`run_bench` report."""
-    lines = [
-        f"Hot-loop throughput: {report['workload']}, "
-        f"{report['num_accesses']} accesses, "
-        f"best of {report['repeats']} (seed {report['seed']})",
-        "",
-        f"  {'design':<20} {'engine':>7} {'acc/s':>12} {'hit rate':>9}",
-    ]
-    for row in report["designs"]:
-        lines.append(
-            f"  {row['design']:<20} {row.get('engine', '-'):>7} "
-            f"{row['accesses_per_sec']:>12,.0f} "
-            f"{row['hit_rate']:>9.3f}"
-        )
-    lines.append("")
-    for name, agg in report.get("per_engine_accesses_per_sec", {}).items():
-        lines.append(f"  {name:>9}: {agg:,.0f} accesses/sec")
-    lines.append(
-        f"  aggregate: {report['aggregate_accesses_per_sec']:,.0f} accesses/sec"
-    )
-    return "\n".join(lines)
-
-
-def load_report(path: str) -> Dict[str, Any]:
-    """Read a report written by ``python -m repro bench --json``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ReproError(f"cannot read bench report {path}: {exc}") from exc
-    if not isinstance(report, dict) or (
-        "aggregate_accesses_per_sec" not in report
-        and report.get("mode") != "sweep"
-    ):
-        raise ReproError(f"{path} is not a bench report")
-    return report
-
-
-def save_report(report: Dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def compare_hit_rates(
-    report: Dict[str, Any], baseline: Dict[str, Any]
-) -> Optional[str]:
-    """None if per-design hit rates match ``baseline`` exactly, else why.
-
-    The determinism gate for sharded execution: a ``--shards N`` report
-    must reproduce the serial report's hit rate *byte-identically* per
-    design (exact float equality — both sides round-trip through JSON's
-    shortest-repr float encoding, so equality survives serialization).
-    """
-    ours = {row["design"]: row for row in report.get("designs", [])}
-    theirs = {row["design"]: row for row in baseline.get("designs", [])}
-    if set(ours) != set(theirs):
-        missing = sorted(set(ours) ^ set(theirs))
-        return f"design sets differ (mismatched: {', '.join(missing)})"
-    for name in sorted(ours):
-        mine = float(ours[name]["hit_rate"])
-        reference = float(theirs[name]["hit_rate"])
-        if mine != reference:
-            return (
-                f"{name}: hit rate {mine!r} != baseline {reference!r} "
-                f"(sharded execution must be bit-identical to serial)"
-            )
-    return None
-
-
-def run_shard_scaling(
-    workload: str = DEFAULT_WORKLOAD,
-    num_accesses: int = DEFAULT_ACCESSES,
-    seed: int = DEFAULT_SEED,
-    scale: float = DEFAULT_SCALE,
-    warmup: float = DEFAULT_WARMUP,
-    repeats: int = DEFAULT_REPEATS,
-    shards: int = 4,
-    designs: Sequence[AccordDesign] = BENCH_DESIGNS,
-) -> Dict[str, Any]:
-    """Measure intra-run shard scaling: serial vs ``--shards N``.
-
-    Runs the full bench twice — shards=1 and shards=N — and reports the
-    aggregate speedup plus the machine's core count (wall-clock scaling
-    is meaningless without it; a 1-core runner can only show overhead).
-    Also records whether the two reports' hit rates were identical,
-    which must always be true.
-    """
-    if shards < 2:
-        raise ReproError("shard scaling needs shards >= 2")
-    serial = run_bench(
-        workload=workload, num_accesses=num_accesses, seed=seed, scale=scale,
-        warmup=warmup, repeats=repeats, designs=designs, shards=1,
-    )
-    sharded = run_bench(
-        workload=workload, num_accesses=num_accesses, seed=seed, scale=scale,
-        warmup=warmup, repeats=repeats, designs=designs, shards=shards,
-    )
-    mismatch = compare_hit_rates(sharded, serial)
-    if mismatch is not None:
-        raise ReproError(f"sharded run diverged from serial: {mismatch}")
-    sharded_rows = {
-        row["design"]: row for row in sharded["designs"] if row["shards"] > 1
-    }
-    serial_sharded_time = sum(
-        row["elapsed_sec"] for row in serial["designs"]
-        if row["design"] in sharded_rows
-    )
-    sharded_time = sum(row["elapsed_sec"] for row in sharded_rows.values())
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "cores": os.cpu_count() or 1,
-        "shards": shards,
-        "serial": serial,
-        "sharded": sharded,
-        "hit_rates_identical": True,
-        # Aggregate over ALL designs (serial-only ones dilute this) and
-        # over just the designs that actually sharded.
-        "aggregate_speedup": (
-            sharded["aggregate_accesses_per_sec"]
-            / serial["aggregate_accesses_per_sec"]
-        ),
-        "shardable_speedup": (
-            serial_sharded_time / sharded_time if sharded_time else 1.0
-        ),
-    }
-
-
-def format_scaling_report(report: Dict[str, Any]) -> str:
-    """Human-readable summary for one :func:`run_shard_scaling` report."""
-    serial = report["serial"]
-    sharded = report["sharded"]
-    sharded_rows = {row["design"]: row for row in sharded["designs"]}
-    lines = [
-        f"Shard scaling: {serial['workload']}, "
-        f"{serial['num_accesses']} accesses, "
-        f"shards=1 vs shards={report['shards']} "
-        f"on {report['cores']} core(s)",
-        "",
-        f"  {'design':<20} {'serial acc/s':>13} {'sharded acc/s':>14} "
-        f"{'shards':>7} {'speedup':>8}",
-    ]
-    for row in serial["designs"]:
-        other = sharded_rows[row["design"]]
-        speedup = other["accesses_per_sec"] / row["accesses_per_sec"]
-        lines.append(
-            f"  {row['design']:<20} {row['accesses_per_sec']:>13,.0f} "
-            f"{other['accesses_per_sec']:>14,.0f} {other['shards']:>7d} "
-            f"{speedup:>7.2f}x"
-        )
-    lines.append("")
-    lines.append(
-        f"  aggregate speedup: {report['aggregate_speedup']:.2f}x "
-        f"(shardable designs only: {report['shardable_speedup']:.2f}x); "
-        f"hit rates identical: {report['hit_rates_identical']}"
-    )
-    return "\n".join(lines)
-
-
-#: Config count of the sweep benchmark's same-trace design matrix.
+#: Grid points of :func:`sweep_designs`.
 SWEEP_CONFIGS = 16
 
 
-def sweep_designs(configs: int = SWEEP_CONFIGS) -> Tuple[AccordDesign, ...]:
-    """A PIP grid over 2-way PWS: the sweep benchmark's design matrix.
+def sweep_designs() -> Tuple[AccordDesign, ...]:
+    """A 16-point PIP grid over 2-way PWS, from 0.2 to 0.95.
 
-    Unlike :data:`BENCH_DESIGNS` (deliberately heterogeneous — every
-    code path gets its own row), a *sweep* workload is homogeneous: the
-    same design family across a parameter grid. All grid points share
-    one fused-kernel signature, so the batched path evaluates the whole
-    matrix in a single multi-config pass — the case the batching layer
-    optimizes, and the one this benchmark sizes.
+    All grid points share one fused-kernel signature, so the batched
+    path evaluates the whole matrix in a single multi-config pass.
+    Labels (``pws-pip0.2`` ...) are part of the contract: benchmark
+    references key sweep results by display name.
     """
-    if configs < 2:
-        raise ReproError("sweep bench needs at least 2 configs")
     designs = []
-    for i in range(configs):
-        pip = round(0.2 + 0.75 * i / (configs - 1), 6)
+    for i in range(SWEEP_CONFIGS):
+        pip = round(0.2 + 0.75 * i / (SWEEP_CONFIGS - 1), 6)
         designs.append(
             AccordDesign(
                 kind="pws", ways=2, pip=pip, label=f"pws-pip{pip:g}"
             )
         )
     return tuple(designs)
-
-
-def run_sweep_bench(
-    workload: str = DEFAULT_WORKLOAD,
-    num_accesses: int = DEFAULT_ACCESSES,
-    seed: int = DEFAULT_SEED,
-    scale: float = DEFAULT_SCALE,
-    warmup: float = DEFAULT_WARMUP,
-    repeats: int = DEFAULT_REPEATS,
-    configs: int = SWEEP_CONFIGS,
-) -> Dict[str, Any]:
-    """Time a same-trace config matrix: per-job vs batched execution.
-
-    Runs the :func:`sweep_designs` grid through an in-process
-    :class:`~repro.exec.executor.Executor` twice — ``batch=False``
-    (one job at a time) and ``batch=True`` (packed batches + the fused
-    multi-config kernel) — and reports jobs per wall-clock second for
-    both, their ratio, and whether every job's result was bit-identical
-    across the two paths (it must be; a divergence raises). Store and
-    journal are disabled so the timed region is pure execution. Both
-    paths share the process-wide trace/plan memos; the first repeat
-    warms them and the best-of-``repeats`` timing discards the
-    difference, so the ratio isolates scheduling + kernel fusion.
-    """
-    from repro.exec.executor import Executor
-    from repro.exec.jobs import JobKey
-
-    if repeats < 1:
-        raise ReproError("bench needs at least one repeat")
-    designs = sweep_designs(configs)
-    keys = [
-        JobKey(
-            design=design, workload=workload, num_accesses=num_accesses,
-            warmup=warmup, seed=seed, scale=scale, epoch=None,
-        )
-        for design in designs
-    ]
-
-    def timed(batch: bool):
-        executor = Executor(jobs=1, batch=batch)
-        best = None
-        results = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run = executor.run(keys)
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best:
-                best = elapsed
-                results = run
-        return best, results
-
-    per_job_sec, per_job_results = timed(batch=False)
-    batched_sec, batched_results = timed(batch=True)
-    for key in keys:
-        if (
-            batched_results[key].to_dict()
-            != per_job_results[key].to_dict()
-        ):
-            raise ReproError(
-                f"batched sweep diverged from per-job execution on "
-                f"{key.display} (results must be bit-identical)"
-            )
-    return {
-        "schema": BENCH_SCHEMA_VERSION,
-        "mode": "sweep",
-        "workload": workload,
-        "num_accesses": num_accesses,
-        "seed": seed,
-        "scale": scale,
-        "warmup": warmup,
-        "repeats": repeats,
-        "configs": len(keys),
-        "designs": [design.display_name for design in designs],
-        "per_job_sec": per_job_sec,
-        "batched_sec": batched_sec,
-        "per_job_jobs_per_sec": len(keys) / per_job_sec,
-        "batched_jobs_per_sec": len(keys) / batched_sec,
-        "speedup": per_job_sec / batched_sec,
-        "results_identical": True,
-    }
-
-
-def format_sweep_report(report: Dict[str, Any]) -> str:
-    """Human-readable summary for one :func:`run_sweep_bench` report."""
-    return "\n".join(
-        [
-            f"Batched sweep: {report['workload']}, "
-            f"{report['configs']} configs x {report['num_accesses']} "
-            f"accesses, best of {report['repeats']} "
-            f"(seed {report['seed']})",
-            "",
-            f"  per-job:  {report['per_job_jobs_per_sec']:>8.2f} jobs/sec "
-            f"({report['per_job_sec']:.3f}s)",
-            f"  batched:  {report['batched_jobs_per_sec']:>8.2f} jobs/sec "
-            f"({report['batched_sec']:.3f}s)",
-            "",
-            f"  speedup: {report['speedup']:.2f}x; results identical: "
-            f"{report['results_identical']}",
-        ]
-    )
-
-
-def compare_sweep_to_baseline(
-    report: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float,
-) -> Optional[str]:
-    """None if the sweep ``report`` holds up against ``baseline``.
-
-    The gate is on the *speedup ratio*, not on absolute jobs/s: the
-    ratio is machine-relative on both sides of the division, so it
-    transfers across runner classes the way wall-clock numbers do not.
-    ``max_regression`` is a fraction of the baseline ratio (0.30 =
-    fail when the batched-over-per-job speedup drops more than 30%).
-    A report whose batched path fell behind per-job execution
-    (speedup < 1) fails regardless of the baseline.
-    """
-    current = float(report["speedup"])
-    if current < 1.0:
-        return (
-            f"batched sweep is slower than per-job execution "
-            f"({current:.2f}x); batching must never lose"
-        )
-    reference = float(baseline["speedup"])
-    floor = reference * (1.0 - max_regression)
-    if current < floor:
-        return (
-            f"batched sweep speedup regressed: {current:.2f}x vs baseline "
-            f"{reference:.2f}x (floor {floor:.2f}x at "
-            f"{max_regression:.0%} tolerance)"
-        )
-    return None
-
-
-def compare_to_baseline(
-    report: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regression: float,
-) -> Optional[str]:
-    """None if ``report`` is within tolerance of ``baseline``, else why.
-
-    The gate is on aggregates: per-design numbers on small traces are
-    too noisy to gate individually. ``max_regression`` is a fraction
-    (0.30 = fail when aggregate throughput drops more than 30%).
-
-    When both reports carry ``per_engine_accesses_per_sec``, every
-    engine present in both is gated at the same tolerance — one mixed
-    aggregate would let a large vector-path gain mask a stream- or
-    replay-path collapse. Engines present on one side only (coverage
-    moved between engines) are judged by the total alone.
-    """
-    current = float(report["aggregate_accesses_per_sec"])
-    reference = float(baseline["aggregate_accesses_per_sec"])
-    floor = reference * (1.0 - max_regression)
-    if current < floor:
-        return (
-            f"aggregate throughput regressed: {current:,.0f} acc/s vs "
-            f"baseline {reference:,.0f} acc/s "
-            f"(floor {floor:,.0f} at {max_regression:.0%} tolerance)"
-        )
-    ours = report.get("per_engine_accesses_per_sec") or {}
-    theirs = baseline.get("per_engine_accesses_per_sec") or {}
-    for name in sorted(set(ours) & set(theirs)):
-        current = float(ours[name])
-        reference = float(theirs[name])
-        floor = reference * (1.0 - max_regression)
-        if current < floor:
-            return (
-                f"{name}-engine throughput regressed: {current:,.0f} acc/s "
-                f"vs baseline {reference:,.0f} acc/s "
-                f"(floor {floor:,.0f} at {max_regression:.0%} tolerance)"
-            )
-    return None

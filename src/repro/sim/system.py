@@ -158,7 +158,7 @@ class Simulator:
         one-time warning, or raises under ``engine_strict``. All engines
         are bit-identical (asserted by the equivalence tests), so the
         choice never changes results. ``fast_path=False`` forces the
-        reference loop (kept for those tests and benchmarks).
+        reference loop (kept for those tests).
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise SimulationError("warmup fraction must be in [0, 1)")

@@ -301,7 +301,7 @@ class Trace:
         """The address column as int64, converted once and cached.
 
         Every geometry-dependent derivation (:meth:`split_columns`,
-        :meth:`shard`) starts from this array, so a bench run replaying
+        :meth:`shard`) starts from this array, so a sweep replaying
         one trace against many designs pays the O(n) list-to-array
         conversion a single time.
         """
@@ -350,8 +350,8 @@ class Trace:
         upper index bits) stay together. Records keep arrival order and
         their global positions. Reuses the memoized vectorized split
         (:meth:`split_columns`) and is itself memoized per
-        ``(offset_bits, index_bits, n_shards)``: bench's many designs
-        and repeat runs share one partition.
+        ``(offset_bits, index_bits, n_shards)``: many designs over one
+        trace and repeat runs share one partition.
 
         ``n_shards`` is clamped to ``num_sets`` (a shard must own at
         least one set).

@@ -117,6 +117,27 @@ class TestChaos:
         assert 1 <= ex.stats.retried <= 2
         assert {k: r.to_dict() for k, r in resolved.items()} == baseline
 
+    def test_pool_broken_during_submit_recovers(self, monkeypatch, baseline):
+        """A pool that breaks before the last job is submitted is
+        recovered like one that breaks while draining."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def breaking_submit(pool, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died before submit")
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
+        ex = Executor(jobs=2, backoff=fast_backoff())
+        resolved = ex.run(all_keys())
+        assert ex.stats.pool_breaks == 1
+        assert {k: r.to_dict() for k, r in resolved.items()} == baseline
+
     def test_corrupted_store_entry_quarantined_and_rerun(
         self, isolated_traces, monkeypatch, baseline
     ):

@@ -294,12 +294,23 @@ class TestResolver:
             design, config, seed=5
         ), design
 
+    def test_design_set_covers_every_kind(self):
+        from repro.core.accord import DESIGN_KINDS
+
+        assert {d.kind for d in BENCH_DESIGNS} == set(DESIGN_KINDS)
+
     def test_auto_picks_fastest_supported(self):
-        for kind, expected in (("pws", "vector"), ("gws", "replay"),
-                               ("dueling", "replay"), ("ca", "replay")):
-            design = AccordDesign(kind=kind, ways=1 if kind == "ca" else 2)
+        """No design silently falls back to the stream engine: the
+        global-state stacks run on replay, everything else on vector."""
+        replay_kinds = {"gws", "accord", "sws", "dueling", "ca"}
+        picked = {}
+        for design in BENCH_DESIGNS:
             cache, _ = self._cache(design)
-            assert resolve_engine(cache, design=design).name == expected
+            name = resolve_engine(cache, design=design).name
+            expected = "replay" if design.kind in replay_kinds else "vector"
+            assert name == expected, design.display_name
+            picked[name] = picked.get(name, 0) + 1
+        assert picked == {"vector": 9, "replay": 7}
 
     def test_explicit_supported_request_is_honored(self):
         cache, design = self._cache(AccordDesign(kind="pws", ways=2))

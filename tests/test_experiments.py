@@ -6,8 +6,20 @@ analytic experiments additionally assert paper-exact content.
 
 import pytest
 
-from repro.experiments import EXPERIMENT_MODULES
+from repro.experiments import EXPERIMENT_MODULES, ablations
 from repro.experiments.common import Settings, SuiteRunner, baseline_design
+
+#: Text each ablation study's report must contain.
+ABLATION_MARKERS = {
+    "replacement": ("lru",),
+    "rit-rlt-size": ("64",),
+    "region-size": ("4096B",),
+    "sws-hashes": ("SWS(8,1)", "SWS(8,4)"),
+    "higher-ways-no-sws": ("8-way",),
+    "dueling-pip": ("dueling",),
+    "dcp-modes": ("probe accesses per writeback",),
+    "mru-filtering": ("MRU",),
+}
 
 
 def quick_settings():
@@ -28,6 +40,17 @@ class TestAnalyticExperiments:
         report = table9_storage.run()
         assert "320 Bytes" in report
         assert "0 Bytes" in report
+
+    def test_table9_never_fills_a_tag_store(self, monkeypatch):
+        """Counting SRAM bits must not allocate the 4GB cache's tags."""
+        from repro.cache.storage import TagStore
+        from repro.experiments import table9_storage
+
+        filled = []
+        monkeypatch.setattr(TagStore, "prefill_junk",
+                            lambda store: filled.append(store))
+        assert "320 Bytes" in table9_storage.run()
+        assert filled == []
 
     def test_fig6_small(self):
         from repro.experiments import fig6_cyclic
@@ -144,17 +167,11 @@ class TestQuickRuns:
         report = table8_cache_size.run(settings)
         assert "4.0GB" in report
 
-    def test_ablation_replacement(self):
-        from repro.experiments import ablations
-
-        report = ablations.run(quick_settings(), which=["replacement"])
-        assert "lru" in report
-
-    def test_ablation_sws_hashes(self):
-        from repro.experiments import ablations
-
-        report = ablations.run(quick_settings(), which=["sws-hashes"])
-        assert "SWS(8,1)" in report and "SWS(8,4)" in report
+    @pytest.mark.parametrize("name", list(ablations.ABLATIONS))
+    def test_ablation(self, name):
+        report = ablations.run(quick_settings(), which=[name])
+        for marker in ABLATION_MARKERS[name]:
+            assert marker in report
 
 
 class TestSuiteRunnerMachinery:

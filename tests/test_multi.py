@@ -13,6 +13,7 @@ from repro.cache.dram_cache import lazy_tag_stores
 from repro.core.accord import AccordDesign
 from repro.core.sws import SkewedWaySteering
 from repro.params.system import scaled_system
+from repro.sim.bench import sweep_designs
 from repro.sim.engines import TraceStream, serial_segments
 from repro.sim.engines.multi import (
     FusedRun,
@@ -171,13 +172,16 @@ class TestFusedBitIdentity:
 
 class TestPlanSignature:
     def test_swept_parameter_shares_signature(self):
-        a = fusion_plan(
-            _design_builder(AccordDesign(kind="pws", ways=2, pip=0.2))()
-        )
-        b = fusion_plan(
-            _design_builder(AccordDesign(kind="pws", ways=2, pip=0.9))()
-        )
-        assert plan_signature(a) == plan_signature(b)
+        """Every point of the sweep grid fuses into one pass."""
+        grid = (
+            AccordDesign(kind="pws", ways=2, pip=0.2),
+            AccordDesign(kind="pws", ways=2, pip=0.9),
+        ) + sweep_designs()
+        signatures = {
+            plan_signature(fusion_plan(_design_builder(design)()))
+            for design in grid
+        }
+        assert len(signatures) == 1
 
     def test_control_flow_splits_signature(self):
         pws = fusion_plan(
