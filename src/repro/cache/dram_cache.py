@@ -24,7 +24,6 @@ probe candidate ways to locate the line.
 
 from __future__ import annotations
 
-import contextlib
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.cache.access_path import AccessOutcome, AccessPath
@@ -32,7 +31,7 @@ from repro.cache.dcp import DcpDirectory
 from repro.cache.geometry import CacheGeometry
 from repro.cache.lookup import WayPredictedLookup
 from repro.cache.replacement import RandomReplacement, ReplacementPolicy
-from repro.cache.storage import TagStore
+from repro.cache.storage import _DENSE_LIMIT_LINES, TagStore
 from repro.errors import PolicyError
 from repro.sim.stats import CacheStats
 
@@ -41,33 +40,7 @@ if TYPE_CHECKING:  # import direction is core -> cache; hints only here
     from repro.core.prediction import WayPredictor
     from repro.core.steering import InstallSteering
 
-__all__ = ["AccessOutcome", "DramCache", "lazy_tag_stores"]
-
-# When set (via lazy_tag_stores), new DramCaches defer building their
-# TagStore until something actually touches ``cache.store``.
-_LAZY_STORE = False
-
-
-@contextlib.contextmanager
-def lazy_tag_stores():
-    """Build caches whose tag store materializes on first touch.
-
-    The array engines (:mod:`repro.sim.engines.vector` and the fused
-    multi-config kernel) keep all resident-line state in their own
-    arrays and never read ``cache.store``; for them the eager dense
-    store is two multi-megabyte allocations per cache build. Inside
-    this context the store is created lazily, so vector-driven builds
-    skip it entirely while any scalar-path access transparently
-    materializes the identical prefilled store. Not thread-safe: the
-    flag is module-global and meant for batch build loops.
-    """
-    global _LAZY_STORE
-    previous = _LAZY_STORE
-    _LAZY_STORE = True
-    try:
-        yield
-    finally:
-        _LAZY_STORE = previous
+__all__ = ["AccessOutcome", "DramCache", "has_fresh_store"]
 
 
 class DramCache:
@@ -91,8 +64,6 @@ class DramCache:
             raise PolicyError("way-predicted lookup needs a predictor")
         self.geometry = geometry
         self._prefill = prefill
-        if not _LAZY_STORE:
-            self.store = TagStore(geometry)
         self.lookup = lookup
         self.steering = steering
         self.predictor = predictor
@@ -102,17 +73,16 @@ class DramCache:
         self.path = AccessPath(self)
         for observer in observers:
             self.path.add_observer(observer)
-        if prefill and "store" in self.__dict__:
-            # A gigascale cache in steady state is full; start warm so
-            # replacement (not empty-way filling) governs installs.
-            self.store.prefill_junk()
 
     def __getattr__(self, name):
-        # Lazily materialize the tag store for caches built under
-        # lazy_tag_stores(); identical state to an eager build.
+        # The tag store is built on first touch: the array engines keep
+        # resident-line state in their own arrays and never read it, so
+        # runs on them skip its multi-megabyte allocation and prefill.
         if name == "store" and "geometry" in self.__dict__:
             store = TagStore(self.geometry)
             if self._prefill:
+                # A gigascale cache in steady state is full; start warm
+                # so replacement (not empty-way filling) governs installs.
                 store.prefill_junk()
             self.store = store
             return store
@@ -177,3 +147,27 @@ class DramCache:
         if self.predictor is not None:
             total += self.predictor.storage_bits()
         return total
+
+
+def has_fresh_store(cache) -> bool:
+    """True when ``cache``'s tag store is a dense, junk-prefilled
+    :class:`TagStore` — the fresh-cache contract of the array engines.
+
+    A :class:`DramCache` store not built yet is judged from the
+    geometry, without forcing its allocation: it will materialize as
+    exactly such a store whenever the cache was built with ``prefill``
+    at a dense-sized geometry.
+    """
+    store = cache.__dict__.get("store")
+    if store is None:
+        if type(cache) is DramCache and "geometry" in cache.__dict__:
+            return (
+                cache._prefill
+                and cache.geometry.num_lines <= _DENSE_LIMIT_LINES
+            )
+        store = getattr(cache, "store", None)
+    return (
+        type(store) is TagStore
+        and store.dense
+        and store.valid_lines == cache.geometry.num_lines
+    )

@@ -7,7 +7,7 @@ the engine's sorted step plan. This module groups a sweep's cold keys
 by (trace, geometry) — :func:`batch_group` — and packs each group into
 :class:`BatchTask` work items that a single worker executes with *one*
 trace and *one* plan, fusing vectorizable same-signature configs into
-a single multi-config kernel pass
+one pass of the vector kernel with K configs on its config axis
 (:mod:`repro.sim.engines.multi`).
 
 Batching is strictly an execution-shape optimization: store entries,
@@ -44,13 +44,8 @@ from repro.exec.jobs import JobKey, _trace_factory
 from repro.exec.resilience import complete_claim, write_claim
 from repro.params.system import scaled_system
 from repro.sim.engines import TraceStream, resolve_engine, serial_segments
-from repro.sim.engines.multi import (
-    FusedRun,
-    drive_fused,
-    fusion_plan,
-    plan_signature,
-)
-from repro.cache.dram_cache import lazy_tag_stores
+from repro.sim.engines.multi import FusedRun, drive_fused, plan_signature
+from repro.sim.engines.vector import build_plan
 from repro.sim.system import RunResult, build_dram_cache
 from repro.sim.timing_model import IntervalTimingModel
 from repro.sim.trace import Trace
@@ -305,8 +300,8 @@ def run_batch(keys: Sequence[JobKey], trace: Trace) -> List[RunResult]:
     cache, engine resolution, ``serial_segments`` measurement plan,
     stats/timing assembly — so each ``RunResult`` is bit-identical to
     the per-job path. The shared part is the drive: members resolving
-    to the vector engine whose kernel plans share a fusion signature
-    are evaluated in one multi-config pass
+    to the vector engine whose kernel plans share a signature fill the
+    config axis of one kernel pass
     (:func:`repro.sim.engines.multi.drive_fused`); everything else
     (replay/stream/loop designs, singleton signatures) runs
     sequentially over the same trace object, still sharing the step
@@ -318,16 +313,12 @@ def run_batch(keys: Sequence[JobKey], trace: Trace) -> List[RunResult]:
     sequential: List[Tuple] = []
     for index, key in enumerate(keys):
         config = scaled_system(ways=key.design.ways, scale=key.scale)
-        # Lazy store: members that fuse (or vectorize) never touch the
-        # tag store, so skip its multi-MB allocation; scalar-path
-        # members materialize an identical prefilled store on demand.
-        with lazy_tag_stores():
-            cache = build_dram_cache(key.design, config, seed=key.seed)
+        cache = build_dram_cache(key.design, config, seed=key.seed)
         engine = resolve_engine(cache, requested=key.engine, design=key.design)
         warm = int(n * key.warmup)
         segments = serial_segments(trace, warm, key.epoch)
         member = (index, key, config, cache, engine, warm, segments)
-        plan = fusion_plan(cache) if engine.name == "vector" else None
+        plan = build_plan(cache) if engine.name == "vector" else None
         if plan is None:
             sequential.append(member)
         else:

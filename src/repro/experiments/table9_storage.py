@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.analysis.storage import storage_table
-from repro.cache.dram_cache import lazy_tag_stores
 from repro.cache.geometry import CacheGeometry
 from repro.core.accord import AccordDesign, make_design
 from repro.experiments.common import Settings, parse_args
@@ -26,8 +25,7 @@ def run(settings: Optional[Settings] = None) -> str:
     # Cross-check against a live ACCORD instance. Its tag store is
     # never touched, so it is never built: the counted bits live in
     # the steering and predictor tables alone.
-    with lazy_tag_stores():
-        cache = make_design(AccordDesign(kind="accord", ways=2), geometry)
+    cache = make_design(AccordDesign(kind="accord", ways=2), geometry)
     live_bytes = (cache.storage_overhead_bits() + 7) // 8
     rows.append(["(live ACCORD cache object)", f"{live_bytes} Bytes"])
     return format_table(

@@ -120,6 +120,14 @@ def _warn_breaker_fallback(design, cache, requested: str, fallback: str) -> None
     )
 
 
+def _first_supported(cache, names) -> Optional[str]:
+    """First engine of ``names`` not circuit-broken that supports ``cache``."""
+    for name in names:
+        if not is_tripped(name) and ENGINES[name].supports(cache):
+            return name
+    return None
+
+
 def resolve_engine(
     cache,
     requested: str = "auto",
@@ -145,13 +153,7 @@ def resolve_engine(
             f"unknown engine {requested!r}; expected one of {ENGINE_NAMES}"
         )
     if requested == "auto":
-        for name in _CHAIN:
-            if is_tripped(name):
-                continue
-            engine = ENGINES[name]
-            if engine.supports(cache):
-                return engine
-        return ENGINES["loop"]
+        return ENGINES[_first_supported(cache, _CHAIN) or "loop"]
     if is_tripped(requested):
         if strict:
             raise SimulationError(
@@ -159,31 +161,23 @@ def resolve_engine(
                 f"verification mismatch (--engine-strict); use --engine "
                 f"auto to fall back"
             )
-        for name in _CHAIN[_CHAIN.index(requested) + 1:]:
-            if is_tripped(name):
-                continue
-            fallback = ENGINES[name]
-            if fallback.supports(cache):
-                _warn_breaker_fallback(design, cache, requested, name)
-                return fallback
+        warn = _warn_breaker_fallback
+    else:
+        engine = ENGINES[requested]
+        if engine.supports(cache):
+            return engine
+        if strict:
+            label = design.label or design.kind if design is not None else type(cache).__name__
+            raise SimulationError(
+                f"engine {requested!r} cannot drive design {label!r} exactly "
+                f"(--engine-strict); use --engine auto to fall back"
+            )
+        warn = warn_engine_fallback
+    name = _first_supported(cache, _CHAIN[_CHAIN.index(requested) + 1:])
+    if name is None:
         return ENGINES["loop"]
-    engine = ENGINES[requested]
-    if engine.supports(cache):
-        return engine
-    if strict:
-        label = design.label or design.kind if design is not None else type(cache).__name__
-        raise SimulationError(
-            f"engine {requested!r} cannot drive design {label!r} exactly "
-            f"(--engine-strict); use --engine auto to fall back"
-        )
-    for name in _CHAIN[_CHAIN.index(requested) + 1:]:
-        if is_tripped(name):
-            continue
-        fallback = ENGINES[name]
-        if fallback.supports(cache):
-            warn_engine_fallback(design, cache, requested, name)
-            return fallback
-    return ENGINES["loop"]
+    warn(design, cache, requested, name)
+    return ENGINES[name]
 
 
 __all__ = [

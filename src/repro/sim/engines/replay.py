@@ -60,9 +60,10 @@ import numpy as np
 
 from repro.cache.ca_cache import ColumnAssociativeCache
 from repro.cache.dcp import DcpDirectory
+from repro.cache.dram_cache import has_fresh_store
 from repro.cache.lookup import WayPredictedLookup
 from repro.cache.replacement import RandomReplacement
-from repro.cache.storage import JUNK_TAG, TagStore
+from repro.cache.storage import JUNK_TAG
 from repro.core.dueling import DuelingPwsSteering
 from repro.core.gws import GangedWayPredictor, GangedWaySteering
 from repro.core.prediction import RandomPredictor, StaticPreferredPredictor
@@ -114,7 +115,7 @@ class _ReplayPlan:
 def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
     """Classify ``cache`` for the replay kernels; None when ineligible.
 
-    Mirrors the vector engine's ``_build_plan`` discipline: exact-type
+    Mirrors the vector engine's ``build_plan`` discipline: exact-type
     dispatch plus fresh-state checks (prefilled store, empty RIT/RLT,
     midpoint PSEL, empty DCP), so the kernel's replayed-from-defaults
     state provably matches the cache it never touches.
@@ -129,14 +130,9 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
         return plan
 
     path = getattr(cache, "path", None)
-    if path is None or path.observers:
-        return None
-    store = getattr(cache, "store", None)
-    if type(store) is not TagStore or not store.dense:
+    if path is None or path.observers or not has_fresh_store(cache):
         return None
     geometry = cache.geometry
-    if store.valid_lines != geometry.num_lines:
-        return None  # fresh-cache contract: junk-prefilled store
     if type(cache.lookup) is not WayPredictedLookup:
         return None
     if type(cache.replacement) is not RandomReplacement:

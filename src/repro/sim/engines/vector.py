@@ -5,7 +5,8 @@ declare the ``vectorizable`` capability: every quantity consulted on an
 access to set *s* — resident tags, dirty bits, MRU/partial-tag
 predictor state, per-set counter-based random streams — depends only on
 the *prior accesses to s*. That makes the trace a bundle of independent
-per-set recurrences, which this engine evaluates breadth-first:
+per-set recurrences, which one kernel (:func:`_simulate`) evaluates
+breadth-first, for K configs at once:
 
 1. **Plan** (cached per trace × geometry): stable-sort accesses by set,
    compute each access's *rank* (how many earlier accesses touch the
@@ -25,6 +26,13 @@ per-set recurrences, which this engine evaluates breadth-first:
    :class:`~repro.sim.stats.CacheStats` and
    :class:`~repro.sim.phases.PhaseSeries` bit-identical to the
    per-access reference loop (asserted by ``tests/test_engines.py``).
+
+Per-config state (resident tags, dirty bits, predictor state, draw
+counters) carries a trailing **config axis** of length K; everything
+config-independent is computed once and broadcast. A solo
+:class:`VectorEngine` drive is the ``K == 1`` case, and
+:func:`repro.sim.engines.multi.drive_fused` hands the same kernel K
+configs that share a control-flow signature.
 
 The engine assumes a *freshly built* cache (junk-prefilled dense tag
 store, empty DCP, zeroed predictor state): it replays the run against
@@ -47,9 +55,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.dcp import DcpDirectory
+from repro.cache.dram_cache import has_fresh_store
 from repro.cache.lookup import ParallelLookup, SerialLookup, WayPredictedLookup
 from repro.cache.replacement import RandomReplacement
-from repro.cache.storage import JUNK_TAG, TagStore
+from repro.cache.storage import JUNK_TAG
 from repro.core.prediction import (
     MruPredictor,
     PartialTagPredictor,
@@ -85,7 +94,7 @@ class _Plan:
     )
 
 
-def _build_plan(cache) -> Optional[_Plan]:
+def build_plan(cache) -> Optional[_Plan]:
     """Classify ``cache`` for the kernel; None when it cannot run exactly.
 
     Dispatch is on *exact* types: a subclass may override any method,
@@ -93,27 +102,9 @@ def _build_plan(cache) -> Optional[_Plan]:
     not make the subclass's behavior one the kernel reproduces.
     """
     path = getattr(cache, "path", None)
-    if path is None or path.observers:
+    if path is None or path.observers or not has_fresh_store(cache):
         return None
     geometry = cache.geometry
-    store = cache.__dict__.get("store")
-    if store is None:
-        from repro.cache.dram_cache import DramCache
-        from repro.cache.storage import _DENSE_LIMIT_LINES
-
-        if type(cache) is DramCache and "geometry" in cache.__dict__:
-            # Deferred store (lazy_tag_stores): it materializes as a
-            # fresh TagStore, so validate the contract from the
-            # geometry without forcing the multi-MB allocation.
-            if not cache._prefill or geometry.num_lines > _DENSE_LIMIT_LINES:
-                return None
-        else:
-            store = getattr(cache, "store", None)
-    if store is not None:
-        if type(store) is not TagStore or not store.dense:
-            return None
-        if store.valid_lines != geometry.num_lines:
-            return None  # fresh-cache contract: junk-prefilled store
     plan = _Plan()
     plan.ways = geometry.ways
     plan.num_sets = geometry.num_sets
@@ -388,28 +379,121 @@ class _Outcome:
         self.wb_probes = np.zeros(n, dtype=np.int64)
 
 
-def _simulate(plan: _Plan, sets, tags, writes, steps) -> _Outcome:
-    """Run the per-set recurrences over the whole stream."""
-    n = len(sets)
-    ways = plan.ways
-    flow = plan.flow
-    steer = plan.steer
-    pred = plan.pred
-    out = _Outcome(n)
-    if n == 0:
-        return out
+#: Compact-set remaps memoized per stream-array identity. The ``sets``
+#: array itself comes from the per-trace plan memo (:func:`_stream_arrays`),
+#: so its object identity is stable across the runs of one trace; the
+#: entry keeps a reference so an ``id`` reuse can never alias a dead array.
+_COMPACT_MEMO: "OrderedDict[int, Tuple]" = OrderedDict()
+_COMPACT_MEMO_LIMIT = 8
 
-    # Candidate geometry: m candidate ways per access. ``cand_matrix``
-    # is materialized only when candidates vary by tag; for "all"
-    # steering, candidate j is simply way j.
+
+def _compact_map(sets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(sets, return_inverse=True)``, memoized by identity."""
+    key = id(sets)
+    entry = _COMPACT_MEMO.get(key)
+    if entry is not None and entry[0] is sets:
+        _COMPACT_MEMO.move_to_end(key)
+        return entry[1], entry[2]
+    touched, compact = np.unique(sets, return_inverse=True)
+    _COMPACT_MEMO[key] = (sets, touched, compact)
+    while len(_COMPACT_MEMO) > _COMPACT_MEMO_LIMIT:
+        _COMPACT_MEMO.popitem(last=False)
+    return touched, compact
+
+
+def _simulate(
+    plans: Sequence[_Plan], sets, tags, writes, steps
+) -> List[_Outcome]:
+    """Run the per-set recurrences of K configs in one pass.
+
+    ``plans`` must share one control-flow signature
+    (:func:`repro.sim.engines.multi.plan_signature`); a solo run is
+    ``K == 1``. Shared quantities stay 1-D ``(rows,)`` and broadcast,
+    per-config quantities carry a trailing config axis, and the
+    divergent scatters (miss fills, writeback absorption) go through
+    ``np.nonzero`` pair lists into flattened per-config state. Draw
+    counter advancement is masked — a config consumes a stream value
+    only where the scalar model would — so every config's RNG sequence
+    is the one its scalar run draws.
+
+    State is allocated over the trace's *touched* sets only: set
+    indices are remapped to compact ids (``np.unique``) so the
+    resident/dirty/counter arrays scale with the trace footprint rather
+    than the geometry (a short trace touches a few tens of thousands of
+    a scaled geometry's hundreds of thousands of sets). Untouched sets
+    hold junk tags and zero counters in the scalar model and are never
+    read, so dropping them changes nothing; the per-access RNG stream
+    seeds are still derived from the *original* set indices, keeping
+    every draw bit-identical.
+    """
+    K = len(plans)
+    p0 = plans[0]
+    n = len(sets)
+    ways = p0.ways
+    flow = p0.flow
+    steer = p0.steer
+    pred = p0.pred
+
+    # Config-last layout: every per-access quantity is ``(rows, K)`` and
+    # every state array is ``(slots, K)``, so all gathers and scatters
+    # indexed by a row list touch contiguous K-wide strips (one memcpy
+    # per row) instead of K strided columns. Outcomes are accumulated
+    # ``(n, K)`` — probe counts as int16, large enough for any value up
+    # to ``ways + 2`` — and transposed/widened to int64 once at decode
+    # time.
+    # ``transfers`` equals ``serialized`` for every flow except
+    # parallel; decode shares the array rather than accumulating both.
+    hit = np.zeros((n, K), dtype=bool)
+    serialized_out = np.zeros((n, K), dtype=np.int16)
+    transfers_out = (
+        np.zeros((n, K), dtype=np.int16) if flow == "parallel" else None
+    )
+    correct = np.zeros((n, K), dtype=bool)
+    victim_dirty = np.zeros((n, K), dtype=bool)
+    wb_absorbed = np.zeros((n, K), dtype=bool)
+    wb_probes = np.zeros((n, K), dtype=np.int16)
+
+    def decode() -> List[_Outcome]:
+        serializedT = np.ascontiguousarray(serialized_out.T).astype(np.int64)
+        if transfers_out is None:
+            transfersT = serializedT
+        else:
+            transfersT = np.ascontiguousarray(
+                transfers_out.T
+            ).astype(np.int64)
+        probesT = np.ascontiguousarray(wb_probes.T).astype(np.int64)
+        hitT = np.ascontiguousarray(hit.T)
+        correctT = np.ascontiguousarray(correct.T)
+        victimT = np.ascontiguousarray(victim_dirty.T)
+        absorbedT = np.ascontiguousarray(wb_absorbed.T)
+        outs = []
+        for k in range(K):
+            out = _Outcome.__new__(_Outcome)
+            out.hit = hitT[k]
+            out.serialized = serializedT[k]
+            out.transfers = transfersT[k]
+            out.correct = correctT[k]
+            out.victim_dirty = victimT[k]
+            out.wb_absorbed = absorbedT[k]
+            out.wb_probes = probesT[k]
+            outs.append(out)
+        return outs
+
+    if n == 0:
+        return decode()
+
     if steer == "sws":
-        m = plan.hashes
+        m = p0.hashes
     elif steer == "direct":
         m = 1
     else:
         m = ways
 
-    slot0 = sets * ways
+    # Compact-set remap: per-config state covers touched sets only.
+    # RNG seeds below keep using the original ``sets`` indices.
+    touched, compact = _compact_map(sets)
+    num_slots = len(touched)
+    slot0 = compact * ways
 
     need_pref = (
         steer in ("pws", "sws")
@@ -422,121 +506,172 @@ def _simulate(plan: _Plan, sets, tags, writes, steps) -> _Outcome:
 
     cand_matrix = None
     if steer == "sws":
-        cand_matrix = _skewed_matrix(_tag_hash_array(tags), pref, ways, plan.hashes)
+        cand_matrix = _skewed_matrix(
+            _tag_hash_array(tags), pref, ways, p0.hashes
+        )
     elif steer == "direct":
         cand0 = pref if ways > 1 else np.zeros(n, dtype=np.int64)
         cand_matrix = cand0[:, None]
 
     wanted = None
     if pred == "ptag":
-        wanted = (
-            (mix64_array(tags.astype(_U64)) & _U64(plan.ptag_mask))
-            | _U64(1 << plan.ptag_bits)
-        ).astype(np.int64)
+        # The partial-tag layout is per-config data (bits are not part
+        # of the signature), so the wanted-tag matrix gets a config axis.
+        hashed_tags = mix64_array(tags.astype(_U64))
+        wanted = np.stack(
+            [
+                (
+                    (hashed_tags & _U64(p.ptag_mask))
+                    | _U64(1 << p.ptag_bits)
+                ).astype(np.int64)
+                for p in plans
+            ],
+            axis=1,
+        )
 
-    # Per-set counter-based RNG streams: per-access seeds precomputed,
-    # per-set draw counters advanced as the recurrence consumes draws.
+    def config_seeds(attr: str) -> np.ndarray:
+        """Per-set stream seeds: ``(n,)`` when every config shares the
+        stream base (the common sweep case — bases derive from the run
+        seed, not the swept parameter), ``(n, K)`` otherwise."""
+        bases = [getattr(p, attr) for p in plans]
+        memo = {}
+        for b in bases:
+            if b not in memo:
+                memo[b] = set_stream_seeds(b, sets)
+        if len(memo) == 1:
+            return memo[bases[0]]
+        return np.stack([memo[b] for b in bases], axis=1)
+
+    def seed_rows(seeds, rows):
+        """Seed block broadcastable against ``(len(rows), K)``."""
+        return seeds[rows][:, None] if seeds.ndim == 1 else seeds[rows]
+
+    def seed_pairs(seeds, prows, kk):
+        """Seeds for a ``(row, config)`` pair list."""
+        return seeds[prows] if seeds.ndim == 1 else seeds[prows, kk]
+
+    # Draw counters live in the seeds' uint64 domain so the per-draw
+    # ``seed + count`` additions need no widening casts.
     repl_seeds = repl_count = None
     if steer == "all":
-        repl_seeds = set_stream_seeds(plan.repl_base, sets)
-        repl_count = np.zeros(plan.num_sets, dtype=np.int64)
+        repl_seeds = config_seeds("repl_base")
+        repl_count = np.zeros((num_slots, K), dtype=_U64)
     steer_seeds = steer_count = None
     if steer in ("pws", "sws") and m > 1:
-        steer_seeds = set_stream_seeds(plan.steer_base, sets)
-        steer_count = np.zeros(plan.num_sets, dtype=np.int64)
+        steer_seeds = config_seeds("steer_base")
+        steer_count = np.zeros((num_slots, K), dtype=_U64)
     pred_seeds = pred_count = None
     if pred == "random":
-        pred_seeds = set_stream_seeds(plan.pred_base, sets)
-        pred_count = np.zeros(plan.num_sets, dtype=np.int64)
+        pred_seeds = config_seeds("pred_base")
+        pred_count = np.zeros((num_slots, K), dtype=_U64)
 
-    # Cache state, initialized to the freshly built defaults.
-    tags_state = np.full(plan.num_sets * ways, JUNK_TAG, dtype=np.int64)
-    dirty = np.zeros(plan.num_sets * ways, dtype=np.uint8)
-    mru = np.zeros(plan.num_sets, dtype=np.int64) if pred == "mru" else None
+    tags_state = np.full((num_slots * ways, K), JUNK_TAG, dtype=np.int64)
+    dirty = np.zeros((num_slots * ways, K), dtype=np.uint8)
+    mru = np.zeros((num_slots, K), dtype=np.int64) if pred == "mru" else None
     ptags = (
-        np.zeros(plan.num_sets * ways, dtype=np.int64) if pred == "ptag" else None
+        np.zeros((num_slots * ways, K), dtype=np.int64)
+        if pred == "ptag"
+        else None
     )
+    # Flat views for the pair-list scatters (C-contiguous by construction;
+    # element (slot, k) lives at flat index slot * K + k).
+    tags_flat = tags_state.reshape(-1)
+    dirty_flat = dirty.reshape(-1)
+    ptags_flat = ptags.reshape(-1) if ptags is not None else None
 
-    def candidate_col(j, rows, base):
-        """(way, slot) arrays of candidate position j for these rows."""
-        if cand_matrix is not None:
-            way = cand_matrix[rows, j]
-            return way, base + way
-        return j, base + j
+    way_range = np.arange(m, dtype=np.int64)
 
     def scan(rows, row_tags, base):
-        """First candidate position/way holding the tag (probe order)."""
-        found = np.zeros(len(rows), dtype=bool)
-        way_pos = np.zeros(len(rows), dtype=np.int64)
-        way_phys = np.zeros(len(rows), dtype=np.int64)
-        for j in range(m):
-            way_j, slot_j = candidate_col(j, rows, base)
-            match = ~found & (tags_state[slot_j] == row_tags)
-            if match.any():
-                way_pos[match] = j
-                way_phys[match] = (
-                    way_j[match] if isinstance(way_j, np.ndarray) else way_j
-                )
-                found |= match
+        """First candidate position/way holding the tag, per config.
+
+        One block gather pulls all m candidate slots of every row —
+        ``(rows, m, K)`` — and ``argmax`` over the candidate axis finds
+        the first match (a tag resides in at most one way of a set, so
+        "first" and "only" coincide). ``way_pos``/``way_phys`` are
+        meaningless where ``found`` is False; every consumer masks.
+        ``m == 2`` (the common associativity) takes a flat path: two
+        2-D gathers and a select beat the 3-D gather + argmax.
+        """
+        if m == 2:
+            wide = row_tags[:, None]
+            if cand_matrix is None:
+                eq0 = tags_state[base] == wide
+                eq1 = tags_state[base + 1] == wide
+                way_phys = way_pos = np.where(eq0, 0, 1)
+            else:
+                c0 = cand_matrix[rows, 0]
+                c1 = cand_matrix[rows, 1]
+                eq0 = tags_state[base + c0] == wide
+                eq1 = tags_state[base + c1] == wide
+                way_pos = np.where(eq0, 0, 1)
+                way_phys = np.where(eq0, c0[:, None], c1[:, None])
+            return eq0 | eq1, way_pos, way_phys
+        if cand_matrix is not None:
+            cand_rows = cand_matrix[rows]
+            block = tags_state[base[:, None] + cand_rows]
+        else:
+            cand_rows = None
+            block = tags_state[base[:, None] + way_range]
+        eq = block == row_tags[:, None, None]
+        found = eq.any(axis=1)
+        way_pos = eq.argmax(axis=1)
+        if cand_rows is None:
+            way_phys = way_pos
+        else:
+            way_phys = cand_rows[
+                np.arange(len(rows))[:, None], way_pos
+            ]
         return found, way_pos, way_phys
 
-    def draw(seeds, counts, rows, row_sets):
-        """Next per-set stream value for each row (sets are distinct)."""
-        u = mix64_array(seeds[rows] + counts[row_sets].astype(_U64))
-        counts[row_sets] += 1
-        return u
-
     two_pow_64 = float(2.0 ** 64)
-    pip = plan.pip
+    pip_arr = np.array([p.pip for p in plans], dtype=np.float64)
 
     def step_reads(rows):
-        row_sets = sets[rows]
+        shape = (len(rows), K)
+        row_sets = compact[rows]
         row_tags = tags[rows]
         base = slot0[rows]
         found, way_pos, way_phys = scan(rows, row_tags, base)
         # -- flow costs ----------------------------------------------------
         if flow == "parallel":
-            serialized = np.ones(len(rows), dtype=np.int64)
-            transfers = np.full(len(rows), m, dtype=np.int64)
+            serialized = np.ones(shape, dtype=np.int16)
+            transfers = np.full(shape, m, dtype=np.int16)
         elif flow == "ideal":
-            serialized = np.ones(len(rows), dtype=np.int64)
+            serialized = np.ones(shape, dtype=np.int16)
             transfers = serialized
         elif flow == "serial":
             serialized = np.where(found, way_pos + 1, m)
             transfers = serialized
         else:  # predicted
             if pred == "static":
-                predicted = pref[rows]
+                predicted = np.broadcast_to(pref[rows][:, None], shape)
             elif pred == "random":
-                predicted = (
-                    draw(pred_seeds, pred_count, rows, row_sets) % _U64(ways)
-                ).astype(np.int64)
+                u = mix64_array(
+                    seed_rows(pred_seeds, rows) + pred_count[row_sets]
+                )
+                pred_count[row_sets] += 1
+                predicted = (u % _U64(ways)).astype(np.int64)
             elif pred == "mru":
                 predicted = mru[row_sets]
             elif pred == "perfect":
-                predicted = np.where(found, way_phys, pref[rows])
-            else:  # ptag: first way (over ALL ways) whose partial tag matches
-                predicted = pref[rows].copy()
-                ptag_found = np.zeros(len(rows), dtype=bool)
-                row_wanted = wanted[rows]
-                for way_j in range(ways):
-                    match = ~ptag_found & (ptags[base + way_j] == row_wanted)
-                    if match.any():
-                        predicted[match] = way_j
-                        ptag_found |= match
+                predicted = np.where(found, way_phys, pref[rows][:, None])
+            else:  # ptag: first way whose partial tag matches, per config
+                pblock = ptags[base[:, None] + np.arange(ways)]
+                peq = pblock == wanted[rows][:, None, :]
+                predicted = np.where(
+                    peq.any(axis=1),
+                    peq.argmax(axis=1),
+                    pref[rows][:, None],
+                )
             if cand_matrix is not None:
-                # Clamp to candidates[0] when the predicted way is not a
-                # legal residence for this tag, as the lookup flow does.
-                in_cand = np.zeros(len(rows), dtype=bool)
-                pos_pred = np.zeros(len(rows), dtype=np.int64)
-                for j in range(m):
-                    way_j, _ = candidate_col(j, rows, base)
-                    match = ~in_cand & (way_j == predicted)
-                    if match.any():
-                        pos_pred[match] = j
-                        in_cand |= match
-                predicted = np.where(in_cand, predicted, cand_matrix[rows, 0])
-                pos_pred = np.where(in_cand, pos_pred, 0)
+                # Clamp to the candidate set: position of the predicted
+                # way among the candidates, else candidate 0.
+                ceq = cand_matrix[rows][:, :, None] == predicted[:, None, :]
+                in_cand = ceq.any(axis=1)
+                pos_pred = ceq.argmax(axis=1)
+                predicted = np.where(
+                    in_cand, predicted, cand_matrix[rows, 0][:, None]
+                )
             else:
                 pos_pred = predicted  # candidate j is way j
             hit_on_pred = found & (way_phys == predicted)
@@ -550,73 +685,85 @@ def _simulate(plan: _Plan, sets, tags, writes, steps) -> _Outcome:
                 ),
             )
             transfers = serialized
-            out.correct[rows] = hit_on_pred
-        out.hit[rows] = found
-        out.serialized[rows] = serialized
-        out.transfers[rows] = transfers
+            correct[rows] = hit_on_pred
+        hit[rows] = found
+        serialized_out[rows] = serialized
+        if transfers_out is not None:
+            transfers_out[rows] = transfers
         # -- hit-side state ------------------------------------------------
         if pred == "mru" and found.any():
-            mru[row_sets[found]] = way_phys[found]
-        # -- miss fill -----------------------------------------------------
-        miss = ~found
-        if not miss.any():
+            rr, kk = np.nonzero(found)
+            mru[row_sets[rr], kk] = way_phys[rr, kk]
+        # -- miss fill (pair space: one entry per missing (row, config)) ---
+        rr, kk = np.nonzero(~found)
+        if not len(rr):
             return
-        miss_rows = rows[miss]
-        miss_sets = row_sets[miss]
-        miss_base = base[miss]
-        miss_tags = row_tags[miss]
+        miss_rows = rows[rr]
+        base_p = base[rr]
         if steer == "direct":
-            install = cand_matrix[miss_rows, 0]
+            install_p = cand_matrix[miss_rows, 0]
         elif steer == "all":
-            u = draw(repl_seeds, repl_count, miss_rows, miss_sets)
-            install = (u % _U64(ways)).astype(np.int64)
+            sets_p = row_sets[rr]
+            u = mix64_array(
+                seed_pairs(repl_seeds, miss_rows, kk) + repl_count[sets_p, kk]
+            )
+            repl_count[sets_p, kk] += 1
+            install_p = (u % _U64(ways)).astype(np.int64)
         else:  # pws / sws: the PIP coin over the candidate set
-            miss_pref = pref[miss_rows]
+            pref_p = pref[miss_rows]
             if m == 1:
-                install = miss_pref
+                install_p = pref_p
             else:
-                u1 = draw(steer_seeds, steer_count, miss_rows, miss_sets)
-                spill = ~((u1.astype(np.float64) / two_pow_64) < pip)
-                install = miss_pref.copy()
-                if spill.any():
-                    spill_rows = miss_rows[spill]
-                    u2 = draw(
-                        steer_seeds, steer_count, spill_rows, miss_sets[spill]
+                # Sequential draws of one stream: u1 at counter c, u2 at
+                # c + 1; a config's counter advances once per miss and
+                # once more per spill, exactly as the scalar streams.
+                # Only miss pairs consume draws, so only they compute.
+                sets_p = row_sets[rr]
+                seeds_p = seed_pairs(steer_seeds, miss_rows, kk)
+                counter = steer_count[sets_p, kk]
+                u1 = mix64_array(seeds_p + counter)
+                spill = ~(
+                    (u1.astype(np.float64) / two_pow_64) < pip_arr[kk]
+                )
+                u2 = mix64_array(seeds_p + counter + _U64(1))
+                steer_count[sets_p, kk] += spill + _U64(1)
+                if steer == "pws":
+                    alt = (u2 % _U64(ways - 1)).astype(np.int64)
+                    install_p = np.where(
+                        spill, alt + (alt >= pref_p), pref_p
                     )
-                    if steer == "pws":
-                        alt = (u2 % _U64(ways - 1)).astype(np.int64)
-                        spill_pref = miss_pref[spill]
-                        install[spill] = alt + (alt >= spill_pref)
-                    else:
-                        alt = (u2 % _U64(m - 1)).astype(np.int64)
-                        install[spill] = cand_matrix[spill_rows, 1 + alt]
-        slot = miss_base + install
-        out.victim_dirty[miss_rows] = dirty[slot] != 0
-        tags_state[slot] = miss_tags
-        dirty[slot] = 0
+                else:
+                    alt = (u2 % _U64(m - 1)).astype(np.int64)
+                    alt_way = cand_matrix[miss_rows, 1 + alt]
+                    install_p = np.where(spill, alt_way, pref_p)
+        slots = (base_p + install_p) * K + kk
+        victim_dirty[miss_rows, kk] = dirty_flat[slots] != 0
+        tags_flat[slots] = tags[miss_rows]
+        dirty_flat[slots] = 0
         if pred == "mru":
-            mru[miss_sets] = install
+            mru[row_sets[rr], kk] = install_p
         elif pred == "ptag":
             # on_evict zeroes the slot, on_install overwrites it.
-            ptags[slot] = wanted[miss_rows]
+            ptags_flat[slots] = wanted[miss_rows, kk]
 
     def step_writebacks(rows):
         row_tags = tags[rows]
         base = slot0[rows]
         found, way_pos, way_phys = scan(rows, row_tags, base)
-        if not plan.dcp_exact:
+        if not p0.dcp_exact:
             # No way information: probe the candidate ways in order.
-            out.wb_probes[rows] = np.where(found, way_pos + 1, m)
-        out.wb_absorbed[rows] = found
-        if found.any():
-            dirty[base[found] + way_phys[found]] = 1
+            wb_probes[rows] = np.where(found, way_pos + 1, m)
+        wb_absorbed[rows] = found
+        rr, kk = np.nonzero(found)
+        if len(rr):
+            dirty_flat[(base[rr] + way_phys[rr, kk]) * K + kk] = 1
 
     for read_rows, wb_rows in steps:
         if len(read_rows):
             step_reads(read_rows)
         if len(wb_rows):
             step_writebacks(wb_rows)
-    return out
+    return decode()
 
 
 # -- reductions --------------------------------------------------------------
@@ -719,7 +866,7 @@ class VectorEngine:
     name = "vector"
 
     def supports(self, cache) -> bool:
-        return _build_plan(cache) is not None
+        return build_plan(cache) is not None
 
     def drive(
         self,
@@ -732,14 +879,14 @@ class VectorEngine:
         global_epochs: bool = False,
         phase_sink=None,
     ) -> Optional[PhaseSeries]:
-        plan = _build_plan(cache)
+        plan = build_plan(cache)
         if plan is None:
             raise SimulationError(
                 "vector engine cannot drive this cache exactly; use the "
                 "resolver (repro.sim.engines.resolve_engine) to fall back"
             )
         sets, tags, writes, steps = _stream_arrays(stream, cache.geometry)
-        out = _simulate(plan, sets, tags, writes, steps)
+        (out,) = _simulate([plan], sets, tags, writes, steps)
         cache.stats = _window_stats(plan, writes, out, warm, len(sets))
         if epoch is None:
             return None
@@ -748,4 +895,4 @@ class VectorEngine:
         )
 
 
-__all__ = ["VectorEngine"]
+__all__ = ["VectorEngine", "build_plan", "plan_build_count"]

@@ -29,6 +29,8 @@ from repro.sim.engines import (
     resolve_engine,
     serial_segments,
 )
+from repro.sim.engines.multi import FusedRun, drive_fused, plan_signature
+from repro.sim.engines.vector import build_plan
 from repro.sim.shard import run_sharded
 from repro.sim.system import Simulator, build_dram_cache
 from repro.sim.trace import Trace
@@ -125,6 +127,62 @@ def _drive(cache, trace, engine_name, warm_frac=0.3, epoch=None):
     )
 
 
+def _member_pip(seed: int) -> float:
+    """A pseudo-random PIP in [0.05, 0.95), fixed by ``seed``."""
+    return 0.05 + XorShift64(seed).next_below(900) / 1000.0
+
+
+def _design_family(kind, ways, **fields):
+    """Member ``k`` of a same-signature group built under ``seed``: the
+    design at config seed ``seed + k``, with a PIP drawn per member
+    where the design takes one."""
+
+    def build(k, seed):
+        pip = {"pip": _member_pip(seed + k)} if kind == "pws" else {}
+        design = AccordDesign(kind=kind, ways=ways, **fields, **pip)
+        config = scaled_system(ways=ways, scale=SCALE)
+        return build_dram_cache(design, config, seed=seed + k)
+
+    return build
+
+
+def _sws_family(hashes):
+    """Member ``k``: standalone 8-way SWS with its own PIP and stream."""
+
+    def build(k, seed):
+        config = scaled_system(ways=8, scale=SCALE)
+        cache = build_dram_cache(
+            AccordDesign(kind="serial", ways=8), config, seed=seed + k
+        )
+        cache.steering = SkewedWaySteering(
+            cache.geometry, hashes=hashes, pip=_member_pip(seed + k),
+            rng=XorShift64(seed + 7 * k),
+        )
+        ensure_policy_conformance(cache)
+        return cache
+
+    return build
+
+
+#: Vectorizable signatures BENCH_DESIGNS leaves out: flows at 4 and 8
+#: ways (the m > 2 block-gather scan), 4-way steering, predictors
+#: without a DCP (probe-counting writebacks), every SWS hash count.
+_SIGNATURE_FAMILIES = [
+    (f"{kind}-{ways}way", _design_family(kind, ways))
+    for kind in ("serial", "parallel", "ideal")
+    for ways in (4, 8)
+] + [
+    ("unbiased-4way", _design_family("unbiased", 4)),
+    ("pws-4way", _design_family("pws", 4)),
+    ("mru-4way-nodcp", _design_family("mru", 4, dcp="none")),
+    ("ptag4-nodcp", _design_family(
+        "partial_tag", 2, dcp="none", partial_tag_bits=4)),
+    ("ptag7-nodcp", _design_family(
+        "partial_tag", 2, dcp="none", partial_tag_bits=7)),
+    ("direct-nodcp", _design_family("direct", 1, dcp="none")),
+] + [(f"sws-h{hashes}", _sws_family(hashes)) for hashes in (1, 2, 3, 4)]
+
+
 class TestVectorProperties:
     """Property checks against the reference loop on randomized traces."""
 
@@ -170,6 +228,36 @@ class TestVectorProperties:
             ensure_policy_conformance(cache)
             outs.append(_drive(cache, trace, engine_name, epoch=400))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "index", range(len(_SIGNATURE_FAMILIES)),
+        ids=[name for name, _ in _SIGNATURE_FAMILIES],
+    )
+    def test_signature_axes_match_loop(self, index):
+        """Solo and K=3 fused vector drives equal the loop, per member."""
+        _name, build = _SIGNATURE_FAMILIES[index]
+        seed = 900 + 10 * index
+        rng = XorShift64(seed)
+        trace = random_trace(seed, n=1500)
+        warm_frac = rng.next_below(60) / 100.0
+        epoch = 200 + rng.next_below(300)
+        loop = [
+            _drive(build(k, seed), trace, "loop", warm_frac, epoch)
+            for k in range(3)
+        ]
+        solo = _drive(build(0, seed), trace, "vector", warm_frac, epoch)
+        assert solo == loop[0]
+
+        caches = [build(k, seed) for k in range(3)]
+        plans = [build_plan(cache) for cache in caches]
+        assert len({plan_signature(plan) for plan in plans}) == 1
+        warm = int(len(trace) * warm_frac)
+        segments = serial_segments(trace, warm, epoch)
+        runs = [FusedRun(plan, warm, segments, epoch) for plan in plans]
+        geometry = caches[0].geometry
+        fused = drive_fused(runs, TraceStream(trace, geometry), geometry)
+        for (stats, phases), reference in zip(fused, loop):
+            assert (stats.to_dict(), phases.to_dict()) == reference
 
     def test_finite_dcp_is_not_vectorizable(self, trace):
         """The finite directory is stateful in a way the kernel does not

@@ -1,28 +1,31 @@
-"""Fused multi-config kernel: bit-identity against solo vector drives.
+"""Fused multi-config drives: bit-identity against the reference loop.
 
-The fused kernel's whole contract is that evaluating K same-signature
-configs in one pass decodes into K results *byte-identical* to K
-separate :class:`~repro.sim.engines.vector.VectorEngine` runs. These
-tests drive both paths over the same traces — including phase-resolved
-runs — and compare the full stats dictionaries.
+The vector kernel's config axis carries K same-signature configs in one
+pass; each member's result must equal a
+:class:`~repro.sim.engines.loop.PerAccessEngine` run of the same design
+over the same trace. The loop shares no code with the kernel, so it is
+an independent reference. These tests drive both over the same traces —
+including phase-resolved runs — and compare the full stats and phase
+dictionaries; K=1 against K>=2 agreement rides along as an extra check.
 """
 
 import pytest
 
-from repro.cache.dram_cache import lazy_tag_stores
+from repro.cache.storage import TagStore
 from repro.core.accord import AccordDesign
 from repro.core.sws import SkewedWaySteering
 from repro.params.system import scaled_system
 from repro.sim.bench import sweep_designs
 from repro.sim.engines import TraceStream, serial_segments
+from repro.sim.engines.loop import PerAccessEngine
 from repro.sim.engines.multi import (
     FusedRun,
     drive_fused,
     fused_pass_count,
-    fusion_plan,
     plan_signature,
 )
-from repro.sim.engines.vector import VectorEngine
+from repro.sim.engines.replay import SparseReplayEngine
+from repro.sim.engines.vector import VectorEngine, build_plan
 from repro.sim.runner import TraceFactory
 from repro.sim.system import build_dram_cache
 from repro.core.protocols import ensure_policy_conformance
@@ -101,18 +104,26 @@ def _trace(workload="soplex"):
     return TraceFactory(config, ACCESSES, SEED).trace_for(workload)
 
 
-def _solo(builder, trace, epoch=None):
+def _solo(builder, trace, epoch=None, engine=VectorEngine()):
     cache = builder()
     warm = int(len(trace) * WARMUP)
     segments = serial_segments(trace, warm, epoch)
     stream = TraceStream(trace, cache.geometry)
-    phases = VectorEngine().drive(cache, stream, warm, segments, epoch)
+    phases = engine.drive(cache, stream, warm, segments, epoch)
     return cache.stats, phases
+
+
+def _loop(builder, trace, epoch=None):
+    return _solo(builder, trace, epoch, engine=PerAccessEngine())
+
+
+def _as_dicts(stats, phases):
+    return stats.to_dict(), phases.to_dict() if phases is not None else None
 
 
 def _fused(builders, trace, epoch=None):
     caches = [b() for b in builders]
-    plans = [fusion_plan(c) for c in caches]
+    plans = [build_plan(c) for c in caches]
     assert all(p is not None for p in plans)
     assert len({plan_signature(p) for p in plans}) == 1
     warm = int(len(trace) * WARMUP)
@@ -134,29 +145,32 @@ class TestFusedBitIdentity:
         "builders", [g[1] for g in GROUPS], ids=[g[0] for g in GROUPS]
     )
     def test_group_matches_solo_vector(self, builders):
+        """Every fused member equals its loop run and its K=1 drive."""
         trace = _trace()
         fused = _fused(builders, trace)
-        for builder, (stats, phases) in zip(builders, fused):
-            solo_stats, solo_phases = _solo(builder, trace)
-            assert stats.to_dict() == solo_stats.to_dict()
-            assert phases is None and solo_phases is None
+        for builder, member in zip(builders, fused):
+            assert member[1] is None
+            assert _as_dicts(*member) == _as_dicts(*_loop(builder, trace))
+            assert _as_dicts(*member) == _as_dicts(*_solo(builder, trace))
 
     def test_phase_series_identical(self):
         builders = GROUPS[0][1]
         trace = _trace("mix2")
         fused = _fused(builders, trace, epoch=500)
-        for builder, (stats, phases) in zip(builders, fused):
-            solo_stats, solo_phases = _solo(builder, trace, epoch=500)
-            assert stats.to_dict() == solo_stats.to_dict()
-            assert phases.to_dict() == solo_phases.to_dict()
+        for builder, member in zip(builders, fused):
+            assert member[1] is not None
+            reference = _loop(builder, trace, epoch=500)
+            assert _as_dicts(*member) == _as_dicts(*reference)
+            solo = _solo(builder, trace, epoch=500)
+            assert _as_dicts(*member) == _as_dicts(*solo)
 
     def test_k1_degenerates_to_solo(self):
         builder = _design_builder(AccordDesign(kind="pws", ways=2, pip=0.5))
         trace = _trace()
         before = fused_pass_count()[0]
-        (stats, phases), = _fused([builder], trace)
-        solo_stats, _ = _solo(builder, trace)
-        assert stats.to_dict() == solo_stats.to_dict()
+        (member,) = _fused([builder], trace)
+        assert _as_dicts(*member) == _as_dicts(*_loop(builder, trace))
+        assert _as_dicts(*member) == _as_dicts(*_solo(builder, trace))
         # a single run is not a fused pass
         assert fused_pass_count()[0] == before
 
@@ -178,19 +192,19 @@ class TestPlanSignature:
             AccordDesign(kind="pws", ways=2, pip=0.9),
         ) + sweep_designs()
         signatures = {
-            plan_signature(fusion_plan(_design_builder(design)()))
+            plan_signature(build_plan(_design_builder(design)()))
             for design in grid
         }
         assert len(signatures) == 1
 
     def test_control_flow_splits_signature(self):
-        pws = fusion_plan(
+        pws = build_plan(
             _design_builder(AccordDesign(kind="pws", ways=2))()
         )
-        serial = fusion_plan(
+        serial = build_plan(
             _design_builder(AccordDesign(kind="serial", ways=2))()
         )
-        mru = fusion_plan(
+        mru = build_plan(
             _design_builder(AccordDesign(kind="mru", ways=2))()
         )
         signatures = {plan_signature(p) for p in (pws, serial, mru)}
@@ -201,28 +215,37 @@ class TestLazyTagStore:
     def test_vector_build_skips_store_allocation(self):
         design = AccordDesign(kind="pws", ways=2, pip=0.5)
         config = scaled_system(ways=2, scale=SCALE)
-        with lazy_tag_stores():
-            cache = build_dram_cache(design, config, seed=SEED)
+        cache = build_dram_cache(design, config, seed=SEED)
         assert "store" not in cache.__dict__
         # planning and fused driving never materialize it
-        plan = fusion_plan(cache)
+        plan = build_plan(cache)
         assert plan is not None
+        assert "store" not in cache.__dict__
+        _solo(lambda: cache, _trace())
         assert "store" not in cache.__dict__
 
     def test_scalar_touch_materializes_prefilled_store(self):
         design = AccordDesign(kind="pws", ways=2, pip=0.5)
         config = scaled_system(ways=2, scale=SCALE)
-        with lazy_tag_stores():
-            cache = build_dram_cache(design, config, seed=SEED)
-        eager = build_dram_cache(design, config, seed=SEED)
+        cache = build_dram_cache(design, config, seed=SEED)
         store = cache.store  # first touch materializes
         assert "store" in cache.__dict__
-        assert store.dense == eager.store.dense
-        assert store.valid_lines == eager.store.valid_lines
+        assert cache.store is store
+        reference = TagStore(cache.geometry)
+        reference.prefill_junk()
+        assert store.dense == reference.dense
+        assert store.valid_lines == reference.valid_lines
         assert store.valid_lines == cache.geometry.num_lines
+        ways = range(cache.geometry.ways)
+        for set_index in range(0, cache.geometry.num_sets, 97):
+            for way in ways:
+                assert store.tag_at(set_index, way) == reference.tag_at(
+                    set_index, way
+                )
 
-    def test_flag_restored_outside_context(self):
-        design = AccordDesign(kind="pws", ways=2, pip=0.5)
+    def test_replay_plan_skips_store_allocation(self):
+        design = AccordDesign(kind="accord", ways=2)
         config = scaled_system(ways=2, scale=SCALE)
         cache = build_dram_cache(design, config, seed=SEED)
-        assert "store" in cache.__dict__
+        assert SparseReplayEngine().supports(cache)
+        assert "store" not in cache.__dict__
