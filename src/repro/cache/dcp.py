@@ -69,8 +69,10 @@ class FiniteDcpDirectory:
     authoritative = False
     # The LRU capacity bound is global: whether set s's entry survives
     # depends on every other set's insertions, so sharding would change
-    # which writebacks must probe. Falls back to the serial path.
+    # which writebacks must probe, and the set-local vector kernel
+    # cannot model it. The replay engine carries it in trace order.
     shardable = False
+    replay_vectorizable = True
 
     def __init__(self, capacity: int = 128 * 1024):
         if capacity <= 0:

@@ -5,7 +5,8 @@ state must be updated on *hits* is a net loss for a tags-with-data DRAM
 cache, because the state lives in DRAM next to the line and each update
 is an extra DRAM write transfer. Random replacement is update-free and
 is the paper's default; LRU is provided to reproduce the "LRU is 9%
-worse than random" observation, and NRU as a cheaper intermediate.
+worse than random" observation, NRU as a cheaper intermediate, and
+SRRIP as the counter-update policy the paper cites.
 
 ``update_transfers_on_hit`` reports how many extra 72B write transfers
 a policy performs per hit so the timing model can charge them.
@@ -80,8 +81,10 @@ class LruReplacement:
     update_transfers_on_hit = 1
     # The global clock is shared across sets, but victim() only compares
     # stamps *within* one set, and within a set their relative order is
-    # exactly the set's own touch order — interleaving-invariant.
+    # exactly the set's own touch order — interleaving-invariant. The
+    # vector kernel stamps with the trace row instead of the clock.
     shardable = True
+    vectorizable = True
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
@@ -116,6 +119,7 @@ class NruReplacement:
 
     update_transfers_on_hit = 1
     shardable = True
+    vectorizable = True  # set-local bits + counter-based per-set stream
 
     def __init__(self, geometry: CacheGeometry, rng: Optional[XorShift64] = None):
         self.geometry = geometry
@@ -144,7 +148,8 @@ class NruReplacement:
 def make_replacement(
     name: str, geometry: CacheGeometry, rng: Optional[XorShift64] = None
 ) -> ReplacementPolicy:
-    """Factory keyed by policy name ('random', 'lru', 'nru')."""
+    """Factory keyed by policy name: 'random', 'lru', 'nru', or 'rrip'
+    (alias 'srrip')."""
     lowered = name.lower()
     if lowered == "random":
         return RandomReplacement(rng)
@@ -171,6 +176,7 @@ class RripReplacement:
 
     update_transfers_on_hit = 1
     shardable = True
+    vectorizable = True  # set-local RRPVs + counter-based per-set stream
 
     def __init__(self, geometry: CacheGeometry, bits: int = 2,
                  rng: Optional[XorShift64] = None):

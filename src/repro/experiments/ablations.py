@@ -152,9 +152,9 @@ def run_dcp_modes(settings: Settings) -> str:
         ("finite DCP (L3-resident only)", "finite"),
         ("no DCP (always probe)", "none"),
     ):
-        design = AccordDesign(kind="accord", ways=2, dcp=mode)
-        runner.run(label, design)
-        results = runner.run(label, design)
+        results = runner.run(
+            label, AccordDesign(kind="accord", ways=2, dcp=mode)
+        )
         probes = sum(r.stats.writeback_probe_accesses for r in results.values())
         writebacks = sum(r.stats.writebacks_in for r in results.values())
         rows.append([

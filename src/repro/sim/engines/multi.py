@@ -18,8 +18,8 @@ the kernel parameterizes per row of the config axis: the PIP spill
 probability, the counter-based RNG stream bases (functions of the
 config seed), and the partial-tag layout. Everything that shapes the
 *control flow* — lookup flow, steering family, predictor kind, way
-count, set count, hash count, DCP exactness — is part of the signature
-and therefore shared.
+count, set count, hash count, DCP exactness, replacement policy and
+its RRPV range — is part of the signature and therefore shared.
 
 Each member's outcome is folded by the same reductions
 (``_window_stats`` / ``_phase_series``) a solo drive uses, so its
@@ -68,7 +68,7 @@ def plan_signature(plan: _Plan) -> Tuple:
     """
     return (
         plan.flow, plan.steer, plan.pred, plan.ways, plan.num_sets,
-        plan.hashes, plan.dcp_exact,
+        plan.hashes, plan.dcp_exact, plan.repl, plan.max_rrpv,
     )
 
 

@@ -21,8 +21,9 @@ seeds — is a pure per-access function. So the engine splits the work:
    Python lists for the replay loop.
 2. **Replay** (fused scalar kernel): one pass over the precomputed
    columns carrying only the *sparse* state — resident tags, dirty
-   bits, the RIT/RLT as plain insertion-ordered dicts, per-set draw
-   counters, PSEL. Each access appends a single small *outcome code*.
+   bits, the RIT/RLT as plain insertion-ordered dicts, the finite DCP's
+   line -> way table, per-set draw counters, PSEL. Each access appends
+   a single small *outcome code*.
 3. **Reduce** (vectorized): decode the code column into the vector
    engine's :class:`~repro.sim.engines.vector._Outcome` arrays and
    reuse its ``_window_stats`` / ``_phase_series`` reductions, so the
@@ -42,8 +43,9 @@ The outcome code per access is:
   victim, ``-2`` over a dirty one (prefilled stores make every fill an
   eviction);
 * writebacks — ``100 + probes`` when absorbed, ``200 + probes`` when
-  bypassed (``probes`` is 0 under an exact DCP, which answers without
-  touching the ways).
+  bypassed (``probes`` is 0 when the DCP answers without touching the
+  ways: always under an exact DCP, and for the lines a finite DCP
+  still remembers).
 
 Like the vector engine, this engine assumes a freshly built cache
 (junk-prefilled dense store, empty region tables, midpoint PSEL, empty
@@ -54,12 +56,13 @@ exact types, since a subclass may override any method.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.cache.ca_cache import ColumnAssociativeCache
-from repro.cache.dcp import DcpDirectory
+from repro.cache.dcp import DcpDirectory, FiniteDcpDirectory
 from repro.cache.dram_cache import has_fresh_store
 from repro.cache.lookup import WayPredictedLookup
 from repro.cache.replacement import RandomReplacement
@@ -108,7 +111,7 @@ class _ReplayPlan:
         "pip", "steer_base", "repl_base", "pred_base",
         "pip_low", "pip_high", "low_base", "high_base", "psel_max",
         "rit_entries", "rlt_entries", "steer_region", "pred_region",
-        "dcp_exact",
+        "dcp_exact", "dcp_capacity",
     )
 
 
@@ -194,14 +197,14 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
         return None
 
     dcp = cache.dcp
-    if dcp is None:
-        plan.dcp_exact = False
-    elif type(dcp) is DcpDirectory:
+    if dcp is not None:
+        if type(dcp) not in (DcpDirectory, FiniteDcpDirectory):
+            return None
         if len(dcp) != 0:
             return None  # fresh-cache contract
-        plan.dcp_exact = True
-    else:
-        return None
+    plan.dcp_exact = type(dcp) is DcpDirectory
+    # > 0: a finite directory holding at most that many lines
+    plan.dcp_capacity = dcp.capacity if type(dcp) is FiniteDcpDirectory else 0
     return plan
 
 
@@ -216,12 +219,19 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
 #          evict (always a displacement: junk prefill), install, then
 #          the on_install hooks re-record RIT and RLT.
 #   wb:    exact DCP answers membership with zero probes; without a DCP
-#          the candidate ways are probed in order.
+#          the candidate ways are probed in order. A finite DCP answers
+#          its remembered lines with zero probes (refreshing recency);
+#          a forgotten line probes like no DCP, and a find re-learns
+#          the way. Installs record the line, evictions drop the
+#          victim's, and the oldest entry falls off past capacity.
 #
 # The RecentRegionTable (OrderedDict LRU) is emulated with a plain dict
 # relying on insertion order: move_to_end == del+reinsert, popitem(
 # last=False) == del first key. Plain dicts are measurably faster than
-# OrderedDict in this loop.
+# OrderedDict in this loop. The finite DCP (line -> way, keyed by the
+# line address ``tag * num_sets + set``) keeps a real OrderedDict: its
+# capacity runs to 10^5 lines, and deleting a plain dict's first key
+# rescans the deleted slots in front of it, which turns quadratic there.
 
 
 def _lists(*arrays):
@@ -282,6 +292,9 @@ def _replay_two_way(plan, sets_a, tags_a, writes_a, addrs):
     pip_low = plan.pip_low if steer == "dueling" else 0.0
     pip_high = plan.pip_high if steer == "dueling" else 0.0
     dcp_exact = plan.dcp_exact
+    dcp_capacity = plan.dcp_capacity
+    finite = dcp_capacity > 0
+    dcp: "OrderedDict[int, int]" = OrderedDict()
     dueling = steer == "dueling"
     unbiased = steer == "unbiased"
     pred_random = pred == "random"
@@ -294,16 +307,33 @@ def _replay_two_way(plan, sets_a, tags_a, writes_a, addrs):
         s1_l, s2_l, p_l,
     ):
         if w:
-            # Exact DCP answers membership with zero probes; without a
-            # DCP the ways are probed in candidate order (0 then 1).
+            if finite:
+                line = t * num_sets + s
+                way = dcp.get(line)
+                if way is not None:
+                    # A remembered way: refresh recency, no probe.
+                    dcp.move_to_end(line)
+                    dirty[base + way] = 1
+                    code_append(100)
+                    continue
+            # Exact DCP answers membership with zero probes; without way
+            # information (no DCP, or a finite DCP that forgot the line)
+            # the ways are probed in candidate order (0 then 1).
             if tags_state[base] == t:
                 dirty[base] = 1
                 code_append(100 if dcp_exact else 101)
+                way = 0
             elif tags_state[base + 1] == t:
                 dirty[base + 1] = 1
                 code_append(100 if dcp_exact else 102)
+                way = 1
             else:
                 code_append(200 if dcp_exact else 202)
+                continue
+            if finite:
+                dcp[line] = way  # re-learn the way
+                if len(dcp) > dcp_capacity:
+                    dcp.popitem(False)
             continue
         # -- read: predict (RLT lookup refreshes recency) -------------------
         pw = rlt_get(prg)
@@ -398,6 +428,12 @@ def _replay_two_way(plan, sets_a, tags_a, writes_a, addrs):
         # covers both (del+reinsert == move_to_end + update).
         slot = base + way
         code_append(-2 if dirty[slot] else -1)
+        if finite:
+            # Evict forgets the victim's line; install records the new.
+            dcp.pop(tags_state[slot] * num_sets + s, None)
+            dcp[t * num_sets + s] = way
+            if len(dcp) > dcp_capacity:
+                dcp.popitem(False)
         tags_state[slot] = t
         dirty[slot] = 0
         if rg in rit:
@@ -475,6 +511,9 @@ def _replay_generic(plan, sets_a, tags_a, writes_a, addrs):
     pip_low = plan.pip_low if steer == "dueling" else 0.0
     pip_high = plan.pip_high if steer == "dueling" else 0.0
     dcp_exact = plan.dcp_exact
+    dcp_capacity = plan.dcp_capacity
+    finite = dcp_capacity > 0
+    dcp: "OrderedDict[int, int]" = OrderedDict()
     dueling = steer == "dueling"
     unbiased = steer == "unbiased"
     pred_random = pred == "random"
@@ -498,16 +537,29 @@ def _replay_generic(plan, sets_a, tags_a, writes_a, addrs):
                         break
                 else:
                     code_append(200)
+                continue
+            if finite:
+                line = t * num_sets + s
+                way = dcp.get(line)
+                if way is not None:
+                    # A remembered way: refresh recency, no probe.
+                    dcp.move_to_end(line)
+                    dirty[base + way] = 1
+                    code_append(100)
+                    continue
+            probes = 0
+            for way in candidates:
+                probes += 1
+                if tags_state[base + way] == t:
+                    dirty[base + way] = 1
+                    code_append(100 + probes)
+                    if finite:
+                        dcp[line] = way  # re-learn the way
+                        if len(dcp) > dcp_capacity:
+                            dcp.popitem(False)
+                    break
             else:
-                probes = 0
-                for way in candidates:
-                    probes += 1
-                    if tags_state[base + way] == t:
-                        dirty[base + way] = 1
-                        code_append(100 + probes)
-                        break
-                else:
-                    code_append(200 + probes)
+                code_append(200 + probes)
             continue
         # -- read: predict (RLT lookup refreshes recency) -------------------
         pw = rlt_get(prg)
@@ -635,6 +687,12 @@ def _replay_generic(plan, sets_a, tags_a, writes_a, addrs):
                         way = row[1 + z % (m - 1)]
         slot = base + way
         code_append(-2 if dirty[slot] else -1)
+        if finite:
+            # Evict forgets the victim's line; install records the new.
+            dcp.pop(tags_state[slot] * num_sets + s, None)
+            dcp[t * num_sets + s] = way
+            if len(dcp) > dcp_capacity:
+                dcp.popitem(False)
         tags_state[slot] = t
         dirty[slot] = 0
         if rg in rit:
@@ -842,6 +900,7 @@ class SparseReplayEngine:
         out = _decode(plan, len(sets_a), codes)
         shim = _Plan()
         shim.flow = "predicted"  # all GWS-family designs way-predict
+        shim.repl_update = 0  # random replacement: update-free hits
         cache.stats = _window_stats(shim, writes_a, out, warm, len(sets_a))
         if epoch is None:
             return None

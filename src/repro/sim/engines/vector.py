@@ -3,7 +3,8 @@
 The functional model's state is strictly set-local for the designs that
 declare the ``vectorizable`` capability: every quantity consulted on an
 access to set *s* — resident tags, dirty bits, MRU/partial-tag
-predictor state, per-set counter-based random streams — depends only on
+predictor state, replacement state (LRU stamps, NRU reference bits,
+SRRIP RRPVs), per-set counter-based random streams — depends only on
 the *prior accesses to s*. That makes the trace a bundle of independent
 per-set recurrences, which one kernel (:func:`_simulate`) evaluates
 breadth-first, for K configs at once:
@@ -18,26 +19,28 @@ breadth-first, for K configs at once:
    and friends are bit-identical array forms of the scalar streams).
 3. **Step** over ranks: rank *k* processes the k-th access of every set
    simultaneously as a handful of gather/compare/scatter array ops —
-   lookup scan over the candidate ways, flow costs, install-way draws,
-   evict/install state updates, writeback absorption. Because the sets
-   in one step are distinct, all scatters are conflict-free.
+   lookup scan over the candidate ways, flow costs, install-way draws
+   or replacement victims, evict/install state updates, writeback
+   absorption. Because the sets in one step are distinct, all
+   scatters are conflict-free.
 4. **Reduce**: the per-access outcome arrays (in original trace order)
    are sliced into the measurement window and epoch segments to produce
    :class:`~repro.sim.stats.CacheStats` and
    :class:`~repro.sim.phases.PhaseSeries` bit-identical to the
    per-access reference loop (asserted by ``tests/test_engines.py``).
 
-Per-config state (resident tags, dirty bits, predictor state, draw
-counters) carries a trailing **config axis** of length K; everything
-config-independent is computed once and broadcast. A solo
+Per-config state (resident tags, dirty bits, predictor and replacement
+state, draw counters) carries a trailing **config axis** of length K;
+everything config-independent is computed once and broadcast. A solo
 :class:`VectorEngine` drive is the ``K == 1`` case, and
 :func:`repro.sim.engines.multi.drive_fused` hands the same kernel K
 configs that share a control-flow signature.
 
 The engine assumes a *freshly built* cache (junk-prefilled dense tag
-store, empty DCP, zeroed predictor state): it replays the run against
-its own state arrays initialized to those build-time defaults, and
-never reads or writes the cache's actual store.
+store, empty DCP, build-time predictor and replacement state): it
+replays the run against its own state arrays initialized to those
+build-time defaults, and never reads or writes the cache's actual
+store.
 :meth:`repro.sim.system.Simulator.run` upholds the contract by
 rebuilding the cache before a repeat run; the shard workers always
 build fresh caches. ``supports`` declines anything else: non-dense or
@@ -57,7 +60,12 @@ import numpy as np
 from repro.cache.dcp import DcpDirectory
 from repro.cache.dram_cache import has_fresh_store
 from repro.cache.lookup import ParallelLookup, SerialLookup, WayPredictedLookup
-from repro.cache.replacement import RandomReplacement
+from repro.cache.replacement import (
+    LruReplacement,
+    NruReplacement,
+    RandomReplacement,
+    RripReplacement,
+)
 from repro.cache.storage import JUNK_TAG
 from repro.core.prediction import (
     MruPredictor,
@@ -90,8 +98,18 @@ class _Plan:
     __slots__ = (
         "flow", "steer", "pred", "dcp_exact", "ways", "num_sets",
         "hashes", "pip", "ptag_bits", "ptag_mask",
+        "repl", "repl_update", "max_rrpv",
         "repl_base", "steer_base", "pred_base",
     )
+
+
+#: Exact replacement types the kernel models, by plan flavor.
+_REPLACEMENTS = {
+    RandomReplacement: "random",
+    LruReplacement: "lru",
+    NruReplacement: "nru",
+    RripReplacement: "rrip",
+}
 
 
 def build_plan(cache) -> Optional[_Plan]:
@@ -173,9 +191,13 @@ def build_plan(cache) -> Optional[_Plan]:
     if (plan.flow == "predicted") != (plan.pred is not None):
         return None
 
-    if type(cache.replacement) is not RandomReplacement:
+    replacement = cache.replacement
+    plan.repl = _REPLACEMENTS.get(type(replacement))
+    if plan.repl is None:
         return None
-    plan.repl_base = cache.replacement._rng._base
+    plan.repl_update = replacement.update_transfers_on_hit
+    plan.repl_base = 0 if plan.repl == "lru" else replacement._rng._base
+    plan.max_rrpv = replacement.max_rrpv if plan.repl == "rrip" else 0
 
     dcp = cache.dcp
     if dcp is None:
@@ -433,6 +455,7 @@ def _simulate(
     flow = p0.flow
     steer = p0.steer
     pred = p0.pred
+    repl = p0.repl
 
     # Config-last layout: every per-access quantity is ``(rows, K)`` and
     # every state array is ``(slots, K)``, so all gathers and scatters
@@ -553,7 +576,7 @@ def _simulate(
     # Draw counters live in the seeds' uint64 domain so the per-draw
     # ``seed + count`` additions need no widening casts.
     repl_seeds = repl_count = None
-    if steer == "all":
+    if steer == "all" and repl != "lru":
         repl_seeds = config_seeds("repl_base")
         repl_count = np.zeros((num_slots, K), dtype=_U64)
     steer_seeds = steer_count = None
@@ -573,6 +596,28 @@ def _simulate(
         if pred == "ptag"
         else None
     )
+    # Per-slot replacement state — LRU stamps, NRU reference bits or
+    # SRRIP RRPVs — exists only where the policy picks the victim
+    # (unbiased steering); under pws/sws/direct steering the state is
+    # never read, so the policy only changes the per-hit charge.
+    repl_flat = None
+    if steer == "all" and repl != "random":
+        if repl == "lru":
+            # Stamp = trace row + 1: within one set it orders touches
+            # exactly as the scalar clock does. Junk slots tie at 0.
+            repl_state = np.zeros((num_slots * ways, K), dtype=np.int64)
+        elif repl == "nru":
+            repl_state = np.zeros((num_slots * ways, K), dtype=np.int8)
+        else:  # rrip: every slot starts at the distant prediction
+            repl_state = np.full(
+                (num_slots * ways, K), p0.max_rrpv, dtype=np.int8
+            )
+        repl_flat = repl_state.reshape(-1)
+    # on_hit / on_install values: NRU sets the reference bit; SRRIP
+    # promotes a hit to 0 and inserts at max - 1 (LRU stamps the row).
+    hit_mark = 1 if repl == "nru" else 0
+    install_mark = 1 if repl == "nru" else p0.max_rrpv - 1
+
     # Flat views for the pair-list scatters (C-contiguous by construction;
     # element (slot, k) lives at flat index slot * K + k).
     tags_flat = tags_state.reshape(-1)
@@ -580,6 +625,40 @@ def _simulate(
     ptags_flat = ptags.reshape(-1) if ptags is not None else None
 
     way_range = np.arange(m, dtype=np.int64)
+    all_ways = np.arange(ways, dtype=np.int64)
+
+    def touch(slots, touch_rows, mark):
+        """Replacement ``on_hit``/``on_install`` at flat ``slots``."""
+        repl_flat[slots] = touch_rows + 1 if repl == "lru" else mark
+
+    def victims(base_p, miss_rows, sets_p, kk):
+        """The replacement policy's victim way per miss pair.
+
+        Candidates are all ways of the set, every one valid (junk
+        prefill). NRU and SRRIP consume exactly one draw of the set's
+        stream per victim, however many ways are eligible.
+        """
+        flat = (base_p[:, None] + all_ways) * K + kk[:, None]
+        block = repl_flat[flat]
+        if repl == "lru":
+            return block.argmin(axis=1)  # first least-recently touched
+        if repl == "nru":
+            eligible = block == 0
+            rollover = ~eligible.any(axis=1)
+            if rollover.any():
+                # Every way referenced: clear the set, draw over all.
+                repl_flat[flat[rollover]] = 0
+                eligible[rollover] = True
+        else:  # rrip: age until some way is stale, then draw among them
+            block += p0.max_rrpv - block.max(axis=1, keepdims=True)
+            repl_flat[flat] = block
+            eligible = block == p0.max_rrpv
+        u = mix64_array(
+            seed_pairs(repl_seeds, miss_rows, kk) + repl_count[sets_p, kk]
+        )
+        repl_count[sets_p, kk] += 1
+        pick = (u % eligible.sum(axis=1).astype(_U64)).astype(np.int64)
+        return (np.cumsum(eligible, axis=1) > pick[:, None]).argmax(axis=1)
 
     def scan(rows, row_tags, base):
         """First candidate position/way holding the tag, per config.
@@ -694,6 +773,9 @@ def _simulate(
         if pred == "mru" and found.any():
             rr, kk = np.nonzero(found)
             mru[row_sets[rr], kk] = way_phys[rr, kk]
+        if repl_flat is not None and found.any():
+            rr, kk = np.nonzero(found)
+            touch((base[rr] + way_phys[rr, kk]) * K + kk, rows[rr], hit_mark)
         # -- miss fill (pair space: one entry per missing (row, config)) ---
         rr, kk = np.nonzero(~found)
         if not len(rr):
@@ -704,11 +786,15 @@ def _simulate(
             install_p = cand_matrix[miss_rows, 0]
         elif steer == "all":
             sets_p = row_sets[rr]
-            u = mix64_array(
-                seed_pairs(repl_seeds, miss_rows, kk) + repl_count[sets_p, kk]
-            )
-            repl_count[sets_p, kk] += 1
-            install_p = (u % _U64(ways)).astype(np.int64)
+            if repl_flat is not None:
+                install_p = victims(base_p, miss_rows, sets_p, kk)
+            else:
+                u = mix64_array(
+                    seed_pairs(repl_seeds, miss_rows, kk)
+                    + repl_count[sets_p, kk]
+                )
+                repl_count[sets_p, kk] += 1
+                install_p = (u % _U64(ways)).astype(np.int64)
         else:  # pws / sws: the PIP coin over the candidate set
             pref_p = pref[miss_rows]
             if m == 1:
@@ -740,6 +826,8 @@ def _simulate(
         victim_dirty[miss_rows, kk] = dirty_flat[slots] != 0
         tags_flat[slots] = tags[miss_rows]
         dirty_flat[slots] = 0
+        if repl_flat is not None:
+            touch(slots, miss_rows, install_mark)
         if pred == "mru":
             mru[row_sets[rr], kk] = install_p
         elif pred == "ptag":
@@ -756,7 +844,12 @@ def _simulate(
         wb_absorbed[rows] = found
         rr, kk = np.nonzero(found)
         if len(rr):
-            dirty_flat[(base[rr] + way_phys[rr, kk]) * K + kk] = 1
+            slots = (base[rr] + way_phys[rr, kk]) * K + kk
+            dirty_flat[slots] = 1
+            if repl_flat is not None:
+                # An absorbed writeback is a hit for the replacement
+                # state (never charged an update transfer).
+                touch(slots, rows[rr], hit_mark)
 
     for read_rows, wb_rows in steps:
         if len(read_rows):
@@ -790,6 +883,7 @@ def _window_stats(
     stats.first_probes = demand
     stats.hits = hits
     stats.misses = misses
+    stats.replacement_update_transfers = hits * plan.repl_update
     stats.hit_extra_probes = int(((serialized - 1) * read_hit).sum())
     stats.miss_extra_probes = int(((serialized - 1) * read_miss).sum())
     stats.cache_read_transfers = (

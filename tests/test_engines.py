@@ -14,6 +14,8 @@ import warnings
 
 import pytest
 
+from repro.cache.dcp import FiniteDcpDirectory
+from repro.cache.replacement import RripReplacement
 from repro.core.accord import AccordDesign
 from repro.core.protocols import ensure_policy_conformance
 from repro.core.sws import SkewedWaySteering
@@ -49,6 +51,21 @@ def random_trace(seed: int, n: int = 3000, footprint_lines: int = 700) -> Trace:
         addrs.append(rng.next_below(footprint_lines) * 64)
         writes.append(1 if rng.next_below(4) == 0 else 0)
     return Trace(f"random-{seed}", addrs, writes, instructions_per_access=40.0)
+
+
+def conflict_trace(seed: int, tags: int, n: int = 1500, sets: int = 48) -> Trace:
+    """Randomized mixed trace over ``sets`` hot sets with ``tags``
+    distinct tags each; more tags than ways keeps every set choosing
+    victims among live lines (set bits stay below 2**20 at any test
+    geometry)."""
+    rng = XorShift64(seed)
+    addrs = []
+    writes = bytearray()
+    for _ in range(n):
+        line = rng.next_below(sets) + (rng.next_below(tags) << 20)
+        addrs.append(line * 64)
+        writes.append(1 if rng.next_below(4) == 0 else 0)
+    return Trace(f"conflict-{seed}", addrs, writes, instructions_per_access=40.0)
 
 
 def _design_id(design):
@@ -146,13 +163,14 @@ def _design_family(kind, ways, **fields):
     return build
 
 
-def _sws_family(hashes):
+def _sws_family(hashes, replacement="random"):
     """Member ``k``: standalone 8-way SWS with its own PIP and stream."""
 
     def build(k, seed):
         config = scaled_system(ways=8, scale=SCALE)
         cache = build_dram_cache(
-            AccordDesign(kind="serial", ways=8), config, seed=seed + k
+            AccordDesign(kind="serial", ways=8, replacement=replacement),
+            config, seed=seed + k,
         )
         cache.steering = SkewedWaySteering(
             cache.geometry, hashes=hashes, pip=_member_pip(seed + k),
@@ -181,6 +199,65 @@ _SIGNATURE_FAMILIES = [
         "partial_tag", 2, dcp="none", partial_tag_bits=7)),
     ("direct-nodcp", _design_family("direct", 1, dcp="none")),
 ] + [(f"sws-h{hashes}", _sws_family(hashes)) for hashes in (1, 2, 3, 4)]
+
+
+def _rrip_bits_family(bits):
+    """Member ``k``: unbiased 4-way with a swapped-in ``bits``-bit SRRIP."""
+
+    def build(k, seed):
+        config = scaled_system(ways=4, scale=SCALE)
+        cache = build_dram_cache(
+            AccordDesign(kind="unbiased", ways=4), config, seed=seed + k
+        )
+        cache.replacement = RripReplacement(
+            cache.geometry, bits=bits, rng=XorShift64(seed + 7 * k)
+        )
+        ensure_policy_conformance(cache)
+        return cache
+
+    return build
+
+
+#: Set-local replacement on the vector kernel: unbiased steering lets
+#: the policy pick the victim (flows at 2, 4 and 8 ways, a predictor
+#: without a DCP); pws and standalone SWS only charge its hit updates.
+_REPLACEMENT_FAMILIES = [
+    (f"{name}-{repl}", family)
+    for repl in ("lru", "nru", "rrip")
+    for name, family in (
+        ("unbiased-2way", _design_family("unbiased", 2, replacement=repl)),
+        ("serial-4way", _design_family("serial", 4, replacement=repl)),
+        ("parallel-8way", _design_family("parallel", 8, replacement=repl)),
+        ("mru-4way-nodcp", _design_family(
+            "mru", 4, dcp="none", replacement=repl)),
+        ("pws-2way", _design_family("pws", 2, replacement=repl)),
+        ("sws-h3", _sws_family(3, replacement=repl)),
+    )
+] + [(f"rrip{bits}-unbiased-4way", _rrip_bits_family(bits)) for bits in (1, 3)]
+
+
+def _assert_family_matches_loop(build, seed, trace):
+    """Solo and K=3 fused vector drives of a family equal the loop."""
+    rng = XorShift64(seed)
+    warm_frac = rng.next_below(60) / 100.0
+    epoch = 200 + rng.next_below(300)
+    loop = [
+        _drive(build(k, seed), trace, "loop", warm_frac, epoch)
+        for k in range(3)
+    ]
+    solo = _drive(build(0, seed), trace, "vector", warm_frac, epoch)
+    assert solo == loop[0]
+
+    caches = [build(k, seed) for k in range(3)]
+    plans = [build_plan(cache) for cache in caches]
+    assert len({plan_signature(plan) for plan in plans}) == 1
+    warm = int(len(trace) * warm_frac)
+    segments = serial_segments(trace, warm, epoch)
+    runs = [FusedRun(plan, warm, segments, epoch) for plan in plans]
+    geometry = caches[0].geometry
+    fused = drive_fused(runs, TraceStream(trace, geometry), geometry)
+    for (stats, phases), reference in zip(fused, loop):
+        assert (stats.to_dict(), phases.to_dict()) == reference
 
 
 class TestVectorProperties:
@@ -237,31 +314,27 @@ class TestVectorProperties:
         """Solo and K=3 fused vector drives equal the loop, per member."""
         _name, build = _SIGNATURE_FAMILIES[index]
         seed = 900 + 10 * index
-        rng = XorShift64(seed)
-        trace = random_trace(seed, n=1500)
-        warm_frac = rng.next_below(60) / 100.0
-        epoch = 200 + rng.next_below(300)
-        loop = [
-            _drive(build(k, seed), trace, "loop", warm_frac, epoch)
-            for k in range(3)
-        ]
-        solo = _drive(build(0, seed), trace, "vector", warm_frac, epoch)
-        assert solo == loop[0]
+        _assert_family_matches_loop(build, seed, random_trace(seed, n=1500))
 
-        caches = [build(k, seed) for k in range(3)]
-        plans = [build_plan(cache) for cache in caches]
-        assert len({plan_signature(plan) for plan in plans}) == 1
-        warm = int(len(trace) * warm_frac)
-        segments = serial_segments(trace, warm, epoch)
-        runs = [FusedRun(plan, warm, segments, epoch) for plan in plans]
-        geometry = caches[0].geometry
-        fused = drive_fused(runs, TraceStream(trace, geometry), geometry)
-        for (stats, phases), reference in zip(fused, loop):
-            assert (stats.to_dict(), phases.to_dict()) == reference
+    @pytest.mark.parametrize(
+        "index", range(len(_REPLACEMENT_FAMILIES)),
+        ids=[name for name, _ in _REPLACEMENT_FAMILIES],
+    )
+    def test_replacement_matches_loop(self, index):
+        """LRU/NRU/SRRIP victims, rollovers and agings under set
+        conflicts: solo and K=3 fused vector drives equal the loop."""
+        _name, build = _REPLACEMENT_FAMILIES[index]
+        seed = 1300 + 10 * index
+        ways = build(0, seed).geometry.ways
+        _assert_family_matches_loop(
+            build, seed, conflict_trace(seed, tags=3 * ways)
+        )
 
     def test_finite_dcp_is_not_vectorizable(self, trace):
-        """The finite directory is stateful in a way the kernel does not
-        replay; the resolver must not hand such a cache to vector."""
+        """The finite directory's capacity bound is global state the
+        set-local kernel cannot model, and the replay kernels carry it
+        only for the GWS-family stacks: a serial cache with a finite
+        DCP must decline both array engines."""
         design = AccordDesign(kind="serial", ways=2, dcp="finite")
         config = scaled_system(ways=2, scale=SCALE)
         cache = build_dram_cache(design, config, seed=5)
@@ -310,6 +383,34 @@ class TestReplayProperties:
             trace, warmup_fraction=0.25, epoch=400, engine="loop"
         )
         assert rep.to_dict() == ref.to_dict()
+
+    @pytest.mark.parametrize("design", [
+        AccordDesign(kind="accord", ways=2),
+        AccordDesign(kind="sws", ways=8, hashes=3),
+        AccordDesign(kind="dueling", ways=2),
+    ], ids=_design_id)
+    def test_finite_dcp_matches_loop(self, design):
+        """A 16-line finite DCP over ~24 x ways live lines keeps
+        forgetting: remembered ways (and their recency refresh), probes
+        of forgotten lines, re-learning and victim removal all run,
+        phases included."""
+        config = scaled_system(ways=design.ways, scale=SCALE)
+        trace = conflict_trace(41, tags=design.ways + 1, n=2500, sets=24)
+        outs = []
+        for engine_name in ("replay", "loop"):
+            cache = build_dram_cache(design, config, seed=5)
+            cache.dcp = FiniteDcpDirectory(capacity=16)
+            outs.append(_drive(cache, trace, engine_name, epoch=400))
+        assert cache.dcp.capacity_evictions > 0 and cache.dcp.hits > 0
+        assert outs[0] == outs[1]
+
+    def test_replay_declines_a_used_finite_dcp(self):
+        design = AccordDesign(kind="accord", ways=2, dcp="finite")
+        config = scaled_system(ways=2, scale=SCALE)
+        cache = build_dram_cache(design, config, seed=5)
+        assert ENGINES["replay"].supports(cache)
+        cache.dcp.insert(0, 1)
+        assert not ENGINES["replay"].supports(cache)
 
     def test_replay_requires_fresh_tables(self, trace):
         """A cache whose region tables already hold entries cannot be
@@ -399,6 +500,33 @@ class TestResolver:
             assert name == expected, design.display_name
             picked[name] = picked.get(name, 0) + 1
         assert picked == {"vector": 9, "replay": 7}
+
+    def test_ablation_designs_never_resolve_to_stream(self, monkeypatch):
+        """Every design of the replacement and DCP ablations runs on an
+        array engine, so a silent fallback to the stream loop fails here
+        instead of only slowing the paper run."""
+        from repro.experiments import ablations
+        from repro.experiments.common import Settings, SuiteRunner
+
+        resolved = {}
+
+        def record(runner, label, design):
+            cache = build_dram_cache(
+                design, runner.config_for(design), seed=runner.settings.seed
+            )
+            resolved[label] = resolve_engine(cache, design=design).name
+            return {}
+
+        monkeypatch.setattr(SuiteRunner, "run", record)
+        for aggregate in ("mean_hit", "mean_wp", "gmean_speedup"):
+            monkeypatch.setattr(SuiteRunner, aggregate, lambda *args: 0.0)
+        settings = Settings(use_store=False).quick()
+        ablations.run_replacement(settings)
+        ablations.run_dcp_modes(settings)
+        assert {"lru", "nru", "rrip", "finite DCP (L3-resident only)"} <= set(
+            resolved
+        )
+        assert set(resolved.values()) <= {"vector", "replay"}, resolved
 
     def test_explicit_supported_request_is_honored(self):
         cache, design = self._cache(AccordDesign(kind="pws", ways=2))
