@@ -29,12 +29,6 @@ from repro.sim.stats import CacheStats
 class ColumnAssociativeCache:
     """Direct-mapped cache with hash-rehash lookup and swapping."""
 
-    # No AccessPath, so the cache opts into sparse-replay as a whole
-    # (see repro.core.protocols.unreplayable_roles): lookups are a pure
-    # two-index probe and the only cross-set state mutation is the
-    # displacement on a fill, which the replay engine reproduces.
-    replay_vectorizable = True
-
     def __init__(self, geometry: CacheGeometry, stats: Optional[CacheStats] = None):
         if geometry.ways != 1:
             raise PolicyError("the CA-cache is a direct-mapped organization")

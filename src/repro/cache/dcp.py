@@ -22,12 +22,6 @@ class DcpDirectory:
     """
 
     authoritative = True
-    # Each line address maps to exactly one set, so the exact directory
-    # partitions cleanly by set range — safe to shard. It mirrors the
-    # tag store exactly, so the vector kernel models it as residency in
-    # its own tag arrays.
-    shardable = True
-    vectorizable = True
 
     def __init__(self):
         self._way_of: Dict[int, int] = {}
@@ -67,12 +61,6 @@ class FiniteDcpDirectory:
     """
 
     authoritative = False
-    # The LRU capacity bound is global: whether set s's entry survives
-    # depends on every other set's insertions, so sharding would change
-    # which writebacks must probe, and the set-local vector kernel
-    # cannot model it. The replay engine carries it in trace order.
-    shardable = False
-    replay_vectorizable = True
 
     def __init__(self, capacity: int = 128 * 1024):
         if capacity <= 0:

@@ -87,8 +87,6 @@ class ParallelLookup:
     """
 
     kind = LookupKind.PARALLEL
-    shardable = True  # stateless flow
-    vectorizable = True  # fixed-cost flow, replayed as array ops
 
     def lookup(
         self,
@@ -116,8 +114,6 @@ class SerialLookup:
     """
 
     kind = LookupKind.SERIAL
-    shardable = True  # stateless flow
-    vectorizable = True  # probe costs are a pure function of the hit way
 
     def lookup(
         self,
@@ -150,8 +146,6 @@ class WayPredictedLookup:
     """
 
     kind = LookupKind.WAY_PREDICTED
-    shardable = True  # stateless flow
-    vectorizable = True  # probe costs derive from (prediction, hit way)
 
     def lookup(
         self,

@@ -51,8 +51,6 @@ class RandomReplacement:
     """
 
     update_transfers_on_hit = 0
-    shardable = True
-    vectorizable = True  # counter-based per-set stream, replayed exactly
 
     def __init__(self, rng: Optional[XorShift64] = None):
         self._rng = SetLocalRng.from_stream(rng or XorShift64(0xACC0))
@@ -79,12 +77,6 @@ class LruReplacement:
     """
 
     update_transfers_on_hit = 1
-    # The global clock is shared across sets, but victim() only compares
-    # stamps *within* one set, and within a set their relative order is
-    # exactly the set's own touch order — interleaving-invariant. The
-    # vector kernel stamps with the trace row instead of the clock.
-    shardable = True
-    vectorizable = True
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
@@ -118,8 +110,6 @@ class NruReplacement:
     """
 
     update_transfers_on_hit = 1
-    shardable = True
-    vectorizable = True  # set-local bits + counter-based per-set stream
 
     def __init__(self, geometry: CacheGeometry, rng: Optional[XorShift64] = None):
         self.geometry = geometry
@@ -175,8 +165,6 @@ class RripReplacement:
     """
 
     update_transfers_on_hit = 1
-    shardable = True
-    vectorizable = True  # set-local RRPVs + counter-based per-set stream
 
     def __init__(self, geometry: CacheGeometry, bits: int = 2,
                  rng: Optional[XorShift64] = None):

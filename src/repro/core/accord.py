@@ -52,9 +52,6 @@ class _IdealizedLookup:
     """
 
     kind = None
-    shardable = True  # stateless oracle over the (set-local) tag store
-    vectorizable = True
-    replay_vectorizable = True  # implied by vectorizable; no global state
 
     def lookup(self, set_index, tag, addr, store: TagStore, candidates, predictor=None):
         way = store.find_way_among(set_index, tag, candidates)

@@ -87,14 +87,6 @@ class GangedWaySteering(InstallSteering):
     """Install steering that gangs region installs to one way."""
 
     name = "gws"
-    # The RIT/RLT are *global* LRU tables updated by every region's
-    # traffic; splitting by set range changes their contents, so GWS
-    # must run on the serial path (cache_is_shardable -> False).
-    shardable = False
-    # The table updates themselves are a sparse event stream the replay
-    # engine reproduces exactly (lookup = LRU refresh, record = insert
-    # + evict-oldest), so GWS opts into sparse-replay execution.
-    replay_vectorizable = True
 
     def __init__(
         self,
@@ -153,14 +145,6 @@ class GangedWayPredictor(WayPredictor):
     """Prediction half of GWS: last-way-seen per recent region (RLT)."""
 
     name = "gws"
-    # The RIT/RLT are *global* LRU tables updated by every region's
-    # traffic; splitting by set range changes their contents, so GWS
-    # must run on the serial path (cache_is_shardable -> False).
-    shardable = False
-    # The table updates themselves are a sparse event stream the replay
-    # engine reproduces exactly (lookup = LRU refresh, record = insert
-    # + evict-oldest), so GWS opts into sparse-replay execution.
-    replay_vectorizable = True
 
     def __init__(
         self,

@@ -32,10 +32,6 @@ class WayPredictor:
     """Base class; default implementation is stateless."""
 
     name = "base"
-    # Set-sharding capability (see repro.core.protocols): True means all
-    # mutable state consulted for set s depends only on accesses to set
-    # s. Conservative default is False; set-local subclasses opt in.
-    shardable = False
 
     def __init__(self, geometry: CacheGeometry):
         self.geometry = geometry
@@ -65,8 +61,6 @@ class RandomPredictor(WayPredictor):
     """Uniformly random first probe — the 0-byte strawman of Table II."""
 
     name = "rand"
-    shardable = True  # per-set counter-based stream
-    vectorizable = True
 
     def __init__(self, geometry: CacheGeometry, rng: Optional[XorShift64] = None):
         super().__init__(geometry)
@@ -80,8 +74,6 @@ class StaticPreferredPredictor(WayPredictor):
     """ACCORD's stateless prediction: the tag's preferred way."""
 
     name = "preferred"
-    shardable = True  # stateless
-    vectorizable = True
 
     def predict(self, set_index: int, tag: int, addr: int) -> int:
         return preferred_way(tag, self.ways)
@@ -96,8 +88,6 @@ class MruPredictor(WayPredictor):
     """
 
     name = "mru"
-    shardable = True  # one MRU way per set
-    vectorizable = True
 
     def __init__(self, geometry: CacheGeometry):
         super().__init__(geometry)
@@ -129,8 +119,6 @@ class PartialTagPredictor(WayPredictor):
     """
 
     name = "partial_tag"
-    shardable = True  # partial tags are per (set, way)
-    vectorizable = True
 
     def __init__(self, geometry: CacheGeometry, bits: int = 4):
         super().__init__(geometry)
@@ -170,8 +158,6 @@ class PerfectPredictor(WayPredictor):
     """
 
     name = "perfect"
-    shardable = True  # reads the (set-local) tag store only
-    vectorizable = True
 
     def __init__(self, geometry: CacheGeometry, store: TagStore):
         super().__init__(geometry)

@@ -14,6 +14,12 @@ the right members. The concrete policies in :mod:`repro.core` and
 :func:`ensure_policy_conformance`, which :func:`repro.core.accord.make_design`
 calls on every cache it assembles).
 
+Conformance says nothing about execution: which array engine can drive
+a cache, and whether a run may be split into set shards, is decided by
+the engines' plan builders (:func:`repro.sim.engines.vector.build_plan`
+and the replay engine's ``_build_replay_plan``). They dispatch on exact
+policy types and, on decline, name the role they rejected.
+
 Import direction note: core -> cache imports are the allowed direction,
 so this module may import :mod:`repro.cache.replacement`; the cache
 package, however, must never import this module at runtime (that would
@@ -47,10 +53,6 @@ class InstallSteeringPolicy(Protocol):
     miss confirmation must probe); ``choose_install_way`` picks the fill
     target from that set. ``on_install`` lets stateful policies (GWS's
     RIT) observe committed installs.
-
-    Optional capability: ``shardable`` (bool class attribute, default
-    False) — see :func:`policy_is_shardable`. Set-local policies declare
-    True to opt into set-sharded parallel runs.
     """
 
     name: str
@@ -85,8 +87,6 @@ class WayPredictorPolicy(Protocol):
     ``on_access``/``on_install``/``on_evict`` are the observation hooks
     stateful predictors (MRU, partial-tag, GWS's RLT) learn from; the
     stateless predictors inherit no-op implementations.
-
-    Optional capability: ``shardable`` (see :func:`policy_is_shardable`).
     """
 
     name: str
@@ -116,11 +116,6 @@ class DcpDirectoryPolicy(Protocol):
     means a miss is inconclusive and the writeback must probe. This
     replaces the old ``getattr(dcp, "authoritative", True)`` duck-typed
     probe — every directory must declare the attribute.
-
-    Optional capability: ``shardable`` (see :func:`policy_is_shardable`):
-    the exact directory partitions by set (each line address maps to one
-    set) and declares True; the finite LRU directory's global capacity
-    couples sets and declares False.
     """
 
     authoritative: bool
@@ -132,153 +127,6 @@ class DcpDirectoryPolicy(Protocol):
     def remove(self, line_addr: int) -> None: ...
 
     def hit_rate(self) -> float: ...
-
-
-#: Policy roles consulted by the access path, in reporting order. Each
-#: may carry the optional ``shardable`` / ``vectorizable`` capability
-#: attributes.
-_SHARD_ROLES = ("steering", "predictor", "replacement", "dcp", "lookup")
-
-
-def policy_is_shardable(policy) -> bool:
-    """The ``shardable`` capability of one policy (conservative default).
-
-    ``shardable = True`` declares that every piece of mutable state the
-    policy consults or updates for set *s* depends only on accesses to
-    set *s* (and on build-time configuration). Under that contract a run
-    may be partitioned into set-range shards executed independently and
-    merged, and the merged statistics are bit-identical to the serial
-    run.
-
-    The capability is *opt-in*: a policy that does not declare the
-    attribute is treated as global-state (``False``), so unknown custom
-    policies fall back to the exact serial path rather than being
-    sharded silently wrong. In-repo policies with global state (GWS's
-    RIT/RLT region tables, set-dueling's PSEL counter, the finite DCP
-    directory's LRU capacity) declare ``shardable = False`` explicitly.
-    """
-    return bool(getattr(policy, "shardable", False)) if policy is not None else True
-
-
-def unshardable_roles(cache) -> list:
-    """Names of the cache's policy roles that block set-sharding.
-
-    Empty list means the cache may be shard-executed exactly. A cache
-    without an ``AccessPath`` (e.g. the column-associative model, whose
-    alternate location lives in a *different* set) is reported as a
-    single ``"cache"`` pseudo-role: its access flow itself crosses set
-    boundaries.
-    """
-    if getattr(cache, "path", None) is None:
-        return ["cache"]
-    return [
-        role
-        for role in _SHARD_ROLES
-        if not policy_is_shardable(getattr(cache, role, None))
-    ]
-
-
-def cache_is_shardable(cache) -> bool:
-    """True when every policy role of ``cache`` declares ``shardable``.
-
-    This is the gate the shard-parallel run engine checks before
-    splitting a run; see :func:`unshardable_roles` for diagnostics.
-    """
-    return not unshardable_roles(cache)
-
-
-def policy_is_vectorizable(policy) -> bool:
-    """The ``vectorizable`` capability of one policy (default False).
-
-    ``vectorizable = True`` declares that the policy's full behavior —
-    candidate sets, probe order, install choice, prediction, random
-    draws, observation hooks — is a deterministic set-local function
-    that the vector simulation engine
-    (:class:`repro.sim.engines.VectorEngine`) replays exactly as whole-
-    array numpy recurrences. It is strictly stronger than ``shardable``:
-    a vectorizable policy must also be shardable, because the vector
-    kernel reorders accesses across sets (never within one).
-
-    Like ``shardable``, the capability is opt-in with a conservative
-    default: a policy that does not declare it is driven through the
-    exact per-access paths. Only the in-repo policies whose recurrences
-    the vector kernel implements declare True.
-    """
-    return bool(getattr(policy, "vectorizable", False)) if policy is not None else True
-
-
-def unvectorizable_roles(cache) -> list:
-    """Names of the cache's policy roles that block vector execution.
-
-    Empty list means every role opted in (the engine may still decline
-    for structural reasons, e.g. an unprefilled store). A cache without
-    an ``AccessPath`` is a single ``"cache"`` pseudo-role, as in
-    :func:`unshardable_roles`.
-    """
-    if getattr(cache, "path", None) is None:
-        return ["cache"]
-    return [
-        role
-        for role in _SHARD_ROLES
-        if not policy_is_vectorizable(getattr(cache, role, None))
-    ]
-
-
-def cache_is_vectorizable(cache) -> bool:
-    """True when every policy role of ``cache`` declares ``vectorizable``."""
-    return not unvectorizable_roles(cache)
-
-
-def policy_is_replay_vectorizable(policy) -> bool:
-    """The ``replay_vectorizable`` capability of one policy.
-
-    ``replay_vectorizable = True`` declares that the policy's dense
-    per-access math (candidate sets, probe order, hashed preferences,
-    per-set counter-based random draws) is a pure precomputable
-    function, while its *global* mutable state — if any — is touched
-    only through the small event set the sparse-replay engine
-    (:class:`repro.sim.engines.SparseReplayEngine`) replays in trace
-    order: region-table lookups/records (GWS RIT/RLT), PSEL votes
-    (set-dueling), and cross-set displacements (the CA cache).
-
-    Every ``vectorizable`` policy is trivially replay-vectorizable (no
-    global state to replay at all), so the capability is implied rather
-    than re-declared. Only policies that are *not* set-local need the
-    explicit attribute; the default for undeclared global-state
-    policies stays False, keeping them on the exact per-access paths.
-    """
-    if policy is None:
-        return True
-    if getattr(policy, "replay_vectorizable", False):
-        return True
-    return bool(getattr(policy, "vectorizable", False))
-
-
-def unreplayable_roles(cache) -> list:
-    """Names of the cache's policy roles that block sparse-replay.
-
-    Empty list means every role opted in (the replay engine may still
-    decline for structural reasons, e.g. an unprefilled store or a
-    policy stack outside its kernels). A cache without an
-    ``AccessPath`` may opt in *as a whole* by declaring
-    ``replay_vectorizable`` on the cache class (the column-associative
-    model does); otherwise it is the single ``"cache"`` pseudo-role,
-    as in :func:`unshardable_roles`.
-    """
-    if getattr(cache, "path", None) is None:
-        if getattr(cache, "replay_vectorizable", False):
-            return []
-        return ["cache"]
-    return [
-        role
-        for role in _SHARD_ROLES
-        if not policy_is_replay_vectorizable(getattr(cache, role, None))
-    ]
-
-
-def cache_is_replay_vectorizable(cache) -> bool:
-    """True when every role of ``cache`` admits sparse-replay execution."""
-    return not unreplayable_roles(cache)
 
 
 def ensure_policy_conformance(cache) -> None:
@@ -346,13 +194,4 @@ __all__ = [
     "ReplacementPolicy",
     "DcpDirectoryPolicy",
     "ensure_policy_conformance",
-    "policy_is_shardable",
-    "unshardable_roles",
-    "cache_is_shardable",
-    "policy_is_vectorizable",
-    "unvectorizable_roles",
-    "cache_is_vectorizable",
-    "policy_is_replay_vectorizable",
-    "unreplayable_roles",
-    "cache_is_replay_vectorizable",
 ]

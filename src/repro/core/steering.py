@@ -58,10 +58,6 @@ class InstallSteering:
     """Base class: unrestricted candidates, subclass picks the way."""
 
     name = "base"
-    # Set-sharding capability (see repro.core.protocols): True means all
-    # mutable state consulted for set s depends only on accesses to set
-    # s. Conservative default is False; each set-local subclass opts in.
-    shardable = False
 
     def __init__(self, geometry: CacheGeometry):
         if geometry.ways < 1:
@@ -113,12 +109,6 @@ class UnbiasedSteering(InstallSteering):
     """
 
     name = "unbiased"
-    # Delegates entirely to the replacement policy; whether the combined
-    # stack shards safely is the replacement policy's call, checked
-    # separately by cache_is_shardable() (and likewise for the vector
-    # engine via cache_is_vectorizable()).
-    shardable = True
-    vectorizable = True
 
     def choose_install_way(
         self,
@@ -136,8 +126,6 @@ class DirectMappedSteering(InstallSteering):
     """Degenerate steering for 1-way caches (and PIP=100% semantics)."""
 
     name = "direct"
-    shardable = True  # stateless: pure function of the tag
-    vectorizable = True
 
     def __init__(self, geometry: CacheGeometry):
         super().__init__(geometry)

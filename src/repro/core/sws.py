@@ -93,16 +93,6 @@ class SkewedWaySteering(InstallSteering):
     """
 
     name = "sws"
-    # Candidates are pure in the tag and the install coin is per-set
-    # (via PWS's set-local stream), so SWS is safe to shard by set —
-    # and, the candidate scan being a pure function of the tag, safe
-    # for the vector engine to replay as whole-array ops.
-    shardable = True
-    vectorizable = True
-    # Implied by vectorizable, declared for symmetry with the GWS
-    # wrapper that embeds SWS as its install fallback: the candidate
-    # matrix precomputes and the install coin replays per set.
-    replay_vectorizable = True
 
     def __init__(
         self,

@@ -6,7 +6,7 @@ their fixed cost: the trace bytes, the per-geometry split columns, and
 the engine's sorted step plan. This module groups a sweep's cold keys
 by (trace, geometry) — :func:`batch_group` — and packs each group into
 :class:`BatchTask` work items that a single worker executes with *one*
-trace and *one* plan, fusing vectorizable same-signature configs into
+trace and *one* plan, fusing same-signature vector-kernel configs into
 one pass of the vector kernel with K configs on its config axis
 (:mod:`repro.sim.engines.multi`).
 

@@ -7,14 +7,14 @@ Jobs are independent (design, workload) simulations named by
 over a ``ProcessPoolExecutor`` (or runs them inline for ``jobs=1``),
 and reports progress through an optional callback.
 
-With ``shards > 1``, each cold job whose design declares the
-``shardable`` capability is additionally split into set-range
-:class:`~repro.exec.jobs.ShardTask` items that share the same pool —
-intra-run parallelism, so even a single long simulation spreads over
-the cores — and the shard outcomes merge into a result bit-identical
-to the serial run (:func:`repro.sim.shard.merge_outcomes`). Completed
-shards are journaled individually, so ``--resume`` restarts a
-half-finished job from its surviving shards. Serial-only designs run
+With ``shards > 1``, each cold job whose design the vector kernel can
+plan (:func:`repro.exec.jobs.plan_shards`) is additionally split into
+set-range :class:`~repro.exec.jobs.ShardTask` items that share the
+same pool — intra-run parallelism, so even a single long simulation
+spreads over the cores — and the shard outcomes merge into a result
+bit-identical to the serial run (:func:`repro.sim.shard.merge_outcomes`).
+Completed shards are journaled individually, so ``--resume`` restarts
+a half-finished job from its surviving shards. Serial-only designs run
 whole, with a one-time fallback warning.
 
 Failure handling distinguishes three classes:
@@ -613,8 +613,8 @@ class Executor:
     ) -> List:
         """Expand shardable jobs into per-shard work items.
 
-        With ``shards > 1``, each job whose design declares the
-        ``shardable`` capability becomes ``count`` :class:`ShardTask`
+        With ``shards > 1``, each job :func:`plan_shards` splits
+        becomes ``count`` :class:`ShardTask`
         items (shards of one job spread over the pool alongside other
         jobs); serial-only designs stay whole-job items. Journaled
         shard outcomes are absorbed up front — shard-granularity

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.accord import DESIGN_KINDS, AccordDesign
 from repro.errors import ConfigError
@@ -171,11 +171,12 @@ class ShardTask:
 def plan_shards(key: JobKey, shards: int) -> int:
     """Effective shard count for a job: 1 means run it whole.
 
-    Builds the (scaled) cache once per distinct (design, scale) to
-    consult the declared ``shardable`` capabilities; a design with
-    global policy state gets 1 (after a one-time fallback warning —
-    never sharded silently wrong), and a shardable one gets at most one
-    shard per cache set. Memoized: a 16-design sweep probes each design
+    A job shards when the vector kernel has a plan for a fresh cache of
+    its design (:func:`repro.sim.shard.shard_block`); a design with
+    global policy state gets 1 (after a one-time fallback warning
+    naming the declined role — never sharded silently wrong), and a
+    shardable one gets at most one shard per cache set. The answer
+    comes from :func:`_probe`, so a 16-design sweep probes each design
     once, not once per workload.
 
     Also the parent-side home of the engine-fallback warning: workers
@@ -184,30 +185,51 @@ def plan_shards(key: JobKey, shards: int) -> int:
     here, in the planning process, exactly once per design.
     """
     if key.engine != "auto":
-        _shard_engine(key)  # parent-side resolve; fallback warns here
+        _probe(key)  # parent-side resolve; fallback warns here
     if shards <= 1:
         return 1
-    from repro.core.protocols import cache_is_shardable
     from repro.sim.shard import effective_shard_count, warn_serial_fallback
+
+    probe = _probe(key)
+    if probe.shard_block is not None:
+        warn_serial_fallback(key.design, probe.shard_block)
+        return 1
+    return effective_shard_count(shards, probe.num_sets)
+
+
+class _DesignProbe(NamedTuple):
+    """What one probe cache says about a design (see :func:`_probe`)."""
+
+    engine: str  # the concrete engine the request resolves to
+    num_sets: int
+    shard_block: Optional[str]  # role keeping it off set-sharding
+
+
+def _probe(key: JobKey) -> _DesignProbe:
+    """Resolve ``key``'s engine request and shard eligibility on one
+    fresh probe cache, memoized per (design, scale, engine request).
+
+    Engine-fallback warnings fire here, in whichever process plans or
+    executes first, and at most once.
+    """
+    from repro.sim.engines import resolve_engine
+    from repro.sim.shard import shard_block
     from repro.sim.system import build_dram_cache
 
-    cache_key = (repr(key.design), key.scale)
-    plan = _SHARD_PLAN_CACHE.get(cache_key)
-    if plan is None:
+    memo_key = (repr(key.design), key.scale, key.engine)
+    probe = _PROBES.get(memo_key)
+    if probe is None:
         config = scaled_system(ways=key.design.ways, scale=key.scale)
         cache = build_dram_cache(key.design, config, seed=key.seed)
-        shardable = cache_is_shardable(cache)
-        if not shardable:
-            warn_serial_fallback(key.design, cache)
-        plan = (shardable, cache.geometry.num_sets)
-        _SHARD_PLAN_CACHE[cache_key] = plan
-    shardable, num_sets = plan
-    if not shardable:
-        return 1
-    return effective_shard_count(shards, num_sets)
+        engine = resolve_engine(cache, requested=key.engine, design=key.design)
+        probe = _DesignProbe(
+            engine.name, cache.geometry.num_sets, shard_block(cache)
+        )
+        _PROBES[memo_key] = probe
+    return probe
 
 
-_SHARD_PLAN_CACHE: Dict[Tuple[str, float], Tuple[bool, int]] = {}
+_PROBES: Dict[Tuple[str, float, str], _DesignProbe] = {}
 
 
 def execute_shard(task: ShardTask):
@@ -240,38 +262,20 @@ def _shard_engine(key: JobKey) -> str:
     """Concrete engine name for one shard of ``key``'s simulation.
 
     Shard workers need a non-"auto" engine (drive_shard does not
-    resolve); resolve the request against a probe cache once per
-    (design, scale, engine) — fallback warnings fire here, in whichever
-    process plans or executes first, and at most once.
+    resolve), so the request is resolved on the design's probe cache.
     """
-    from repro.sim.engines import resolve_engine
-    from repro.sim.system import build_dram_cache
-
-    cache_key = (repr(key.design), key.scale, key.engine)
-    name = _ENGINE_PLAN_CACHE.get(cache_key)
-    if name is None:
-        config = scaled_system(ways=key.design.ways, scale=key.scale)
-        cache = build_dram_cache(key.design, config, seed=key.seed)
-        name = resolve_engine(
-            cache, requested=key.engine, design=key.design
-        ).name
-        _ENGINE_PLAN_CACHE[cache_key] = name
-    return name
-
-
-_ENGINE_PLAN_CACHE: Dict[Tuple[str, float, str], str] = {}
+    return _probe(key).engine
 
 
 def clear_engine_plans() -> None:
-    """Flush the per-process engine and shard plan memos.
+    """Flush the per-process design-probe memo.
 
     The circuit breaker (:mod:`repro.verify.breaker`) calls this when
-    it demotes an engine: the memos cache pre-trip resolutions, and a
+    it demotes an engine: the memo caches pre-trip resolutions, and a
     stale entry would keep routing jobs onto the engine that was just
     caught producing a wrong answer.
     """
-    _ENGINE_PLAN_CACHE.clear()
-    _SHARD_PLAN_CACHE.clear()
+    _PROBES.clear()
 
 
 def execute_shard_traced(task: ShardTask, claims_dir: str):

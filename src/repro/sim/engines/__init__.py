@@ -1,18 +1,24 @@
-"""Pluggable drive engines and the capability-based resolver.
+"""Pluggable drive engines and the plan-based resolver.
 
 Four engines implement the :class:`~repro.sim.engines.base.Engine`
 contract, ordered fastest-first:
 
 * ``vector`` — whole-trace numpy kernel; deterministic set-local
-  designs only (every policy declares ``vectorizable``, plus the
-  structural checks in :mod:`repro.sim.engines.vector`).
+  designs only (those :func:`repro.sim.engines.vector.build_plan`
+  accepts).
 * ``replay`` — vectorized precompute around a fused scalar replay of
   the sparse global-state events; the GWS/ACCORD/dueling stacks and
-  the column-associative cache (``replay_vectorizable`` capability
-  plus the structural checks in :mod:`repro.sim.engines.replay`).
+  the column-associative cache (those the replay engine's
+  ``_build_replay_plan`` accepts).
 * ``stream`` — the batched ``run_stream`` hot loop; any cache with an
   access path.
 * ``loop`` — the per-address reference loop; every cache.
+
+The two array engines' plan builders are the only eligibility
+declaration: they dispatch on exact policy types, check the
+fresh-cache contract, and on decline name the role they rejected
+(``steering``, ``predictor``, ``replacement``, ``dcp``, ``lookup`` or
+``cache``), which the fallback warning prints.
 
 :func:`resolve_engine` replaces the old scattered ``hasattr`` probes:
 ``auto`` silently picks the fastest supported engine; an explicitly
@@ -29,14 +35,13 @@ from __future__ import annotations
 import warnings
 from typing import Optional, Tuple
 
-from repro.core.protocols import unreplayable_roles, unvectorizable_roles
 from repro.errors import SimulationError
 from repro.sim.engines.base import Engine, Segment, TraceStream, serial_segments
 from repro.verify.breaker import is_tripped
 from repro.sim.engines.loop import PerAccessEngine
-from repro.sim.engines.replay import SparseReplayEngine
+from repro.sim.engines.replay import SparseReplayEngine, _build_replay_plan
 from repro.sim.engines.stream import StreamEngine
-from repro.sim.engines.vector import VectorEngine
+from repro.sim.engines.vector import VectorEngine, build_plan
 
 #: Accepted ``--engine`` values, resolver preference order after "auto".
 ENGINE_NAMES: Tuple[str, ...] = ("auto", "vector", "replay", "stream", "loop")
@@ -54,6 +59,10 @@ _CHAIN = ("vector", "replay", "stream", "loop")
 
 _ENGINE_FALLBACK_WARNED: set = set()
 
+#: Plan builders of the engines that can decline a cache with an access
+#: path; each returns its plan or the name of the role it rejected.
+_PLAN_BUILDERS = {"vector": build_plan, "replay": _build_replay_plan}
+
 
 def get_engine(name: str) -> Engine:
     """The engine registered under ``name`` (not "auto")."""
@@ -68,24 +77,22 @@ def get_engine(name: str) -> Engine:
 def warn_engine_fallback(design, cache, requested: str, fallback: str) -> None:
     """One-time warning that an explicit engine request was downgraded.
 
-    Inside shard/job pool workers the warning is suppressed entirely:
-    warn-once state is per-process, so N workers would each print their
-    own copy. The parent resolves (and warns) once when it plans the
-    run — see :func:`repro.sim.shard.run_sharded` and
+    Names the role the requested engine's plan builder rejected (the
+    stream engine declines only caches without an access path, so its
+    role is always ``cache``). Inside shard/job pool workers the
+    warning is suppressed entirely: warn-once state is per-process, so
+    N workers would each print their own copy. The parent resolves
+    (and warns) once when it plans the run — see
+    :func:`repro.sim.shard.run_sharded` and
     :func:`repro.exec.jobs.plan_shards`.
     """
-    if requested == "vector":
-        roles = tuple(unvectorizable_roles(cache)) or ("cache",)
-    elif requested == "replay":
-        roles = tuple(unreplayable_roles(cache)) or ("cache",)
-    else:
-        roles = ("cache",)
+    builder = _PLAN_BUILDERS.get(requested)
+    role = builder(cache) if builder is not None else "cache"
     if design is not None:
-        key = (requested, design.kind, design.ways, design.hashes, roles)
-        label = design.label or design.kind
+        label = design.display_name
     else:
-        key = (requested, type(cache).__name__, roles)
         label = type(cache).__name__
+    key = (requested, label, role)
     if key in _ENGINE_FALLBACK_WARNED:
         return
     _ENGINE_FALLBACK_WARNED.add(key)
@@ -94,9 +101,9 @@ def warn_engine_fallback(design, cache, requested: str, fallback: str) -> None:
     if in_worker_process():
         return
     warnings.warn(
-        f"design {label!r} has non-vectorizable policy state "
-        f"({', '.join(roles)}); --engine {requested} ignored, running "
-        f"{fallback} (results stay exact)",
+        f"design {label!r}: the {requested} engine declines its {role}; "
+        f"--engine {requested} ignored, running {fallback} "
+        f"(results stay exact)",
         RuntimeWarning,
         stacklevel=3,
     )

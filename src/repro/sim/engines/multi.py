@@ -1,7 +1,7 @@
 """Config-axis fusion: K same-trace configs in one kernel pass.
 
 A parameter sweep evaluates many configs over one trace, and for the
-vectorizable designs most of the kernel's work is *config-independent*:
+vector kernel's designs most of its work is *config-independent*:
 the sorted step plan, the tag hashes and preferred ways, the SWS
 candidate matrix, and — dominating the runtime — the per-rank Python
 loop dispatching a handful of numpy ops over small row groups. The one

@@ -57,7 +57,7 @@ exact types, since a subclass may override any method.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,7 +70,6 @@ from repro.cache.storage import JUNK_TAG
 from repro.core.dueling import DuelingPwsSteering
 from repro.core.gws import GangedWayPredictor, GangedWaySteering
 from repro.core.prediction import RandomPredictor, StaticPreferredPredictor
-from repro.core.protocols import cache_is_replay_vectorizable
 from repro.core.pws import ProbabilisticWaySteering
 from repro.core.steering import UnbiasedSteering
 from repro.core.sws import SkewedWaySteering
@@ -115,17 +114,20 @@ class _ReplayPlan:
     )
 
 
-def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
-    """Classify ``cache`` for the replay kernels; None when ineligible.
+def _build_replay_plan(cache) -> Union[_ReplayPlan, str]:
+    """Classify ``cache`` for the replay kernels, or name the role
+    (``"cache"``, ``"lookup"``, ``"replacement"``, ``"steering"``,
+    ``"predictor"`` or ``"dcp"``) they cannot run.
 
     Mirrors the vector engine's ``build_plan`` discipline: exact-type
     dispatch plus fresh-state checks (prefilled store, empty RIT/RLT,
     midpoint PSEL, empty DCP), so the kernel's replayed-from-defaults
-    state provably matches the cache it never touches.
+    state provably matches the cache it never touches. It is the only
+    replay-eligibility declaration.
     """
     if type(cache) is ColumnAssociativeCache:
         if cache._lines or cache._dirty:
-            return None  # fresh-cache contract
+            return "cache"  # fresh-cache contract
         plan = _ReplayPlan()
         plan.family = "ca"
         plan.ways = 1
@@ -134,19 +136,19 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
 
     path = getattr(cache, "path", None)
     if path is None or path.observers or not has_fresh_store(cache):
-        return None
+        return "cache"
     geometry = cache.geometry
     if type(cache.lookup) is not WayPredictedLookup:
-        return None
+        return "lookup"
     if type(cache.replacement) is not RandomReplacement:
-        return None
+        return "replacement"
 
     steering = cache.steering
     if type(steering) is not GangedWaySteering or len(steering.rit) != 0:
-        return None
+        return "steering"
     predictor = cache.predictor
     if type(predictor) is not GangedWayPredictor or len(predictor.rlt) != 0:
-        return None
+        return "predictor"
 
     plan = _ReplayPlan()
     plan.family = "gws"
@@ -176,7 +178,7 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
         plan.steer_base = fallback._pws._rng._base
     elif fallback_type is DuelingPwsSteering:
         if fallback.psel != fallback.psel_max // 2:
-            return None  # fresh-cache contract: PSEL at midpoint
+            return "steering"  # fresh-cache contract: PSEL at midpoint
         plan.steer = "dueling"
         plan.psel_max = fallback.psel_max
         plan.pip_low = fallback._low.pip
@@ -184,7 +186,7 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
         plan.low_base = fallback._low._rng._base
         plan.high_base = fallback._high._rng._base
     else:
-        return None
+        return "steering"
 
     pred_fallback = predictor.fallback
     pred_type = type(pred_fallback)
@@ -194,14 +196,14 @@ def _build_replay_plan(cache) -> Optional[_ReplayPlan]:
         plan.pred = "random"
         plan.pred_base = pred_fallback._rng._base
     else:
-        return None
+        return "predictor"
 
     dcp = cache.dcp
     if dcp is not None:
         if type(dcp) not in (DcpDirectory, FiniteDcpDirectory):
-            return None
+            return "dcp"
         if len(dcp) != 0:
-            return None  # fresh-cache contract
+            return "dcp"  # fresh-cache contract
     plan.dcp_exact = type(dcp) is DcpDirectory
     # > 0: a finite directory holding at most that many lines
     plan.dcp_capacity = dcp.capacity if type(dcp) is FiniteDcpDirectory else 0
@@ -860,10 +862,7 @@ class SparseReplayEngine:
     name = "replay"
 
     def supports(self, cache) -> bool:
-        return (
-            cache_is_replay_vectorizable(cache)
-            and _build_replay_plan(cache) is not None
-        )
+        return not isinstance(_build_replay_plan(cache), str)
 
     def drive(
         self,
@@ -877,10 +876,11 @@ class SparseReplayEngine:
         phase_sink=None,
     ) -> Optional[PhaseSeries]:
         plan = _build_replay_plan(cache)
-        if plan is None:
+        if isinstance(plan, str):
             raise SimulationError(
-                "replay engine cannot drive this cache exactly; use the "
-                "resolver (repro.sim.engines.resolve_engine) to fall back"
+                f"replay engine cannot drive this cache exactly ({plan}); "
+                f"use the resolver (repro.sim.engines.resolve_engine) to "
+                f"fall back"
             )
         if plan.family == "ca":
             cache.stats = _replay_ca(cache, stream, warm)

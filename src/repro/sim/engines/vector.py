@@ -1,8 +1,8 @@
 """The vector engine: whole-trace simulation as numpy array recurrences.
 
-The functional model's state is strictly set-local for the designs that
-declare the ``vectorizable`` capability: every quantity consulted on an
-access to set *s* — resident tags, dirty bits, MRU/partial-tag
+The functional model's state is strictly set-local for the designs
+:func:`build_plan` accepts: every quantity consulted on an access to
+set *s* — resident tags, dirty bits, MRU/partial-tag
 predictor state, replacement state (LRU stamps, NRU reference bits,
 SRRIP RRPVs), per-set counter-based random streams — depends only on
 the *prior accesses to s*. That makes the trace a bundle of independent
@@ -45,15 +45,15 @@ store.
 rebuilding the cache before a repeat run; the shard workers always
 build fresh caches. ``supports`` declines anything else: non-dense or
 unprefilled stores, registered observers, policy stacks outside the
-exact set of vectorizable types (subclasses do not inherit
-eligibility, even if they inherit the capability flag).
+exact types :func:`build_plan` accepts (subclasses do not inherit
+eligibility).
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -112,16 +112,23 @@ _REPLACEMENTS = {
 }
 
 
-def build_plan(cache) -> Optional[_Plan]:
-    """Classify ``cache`` for the kernel; None when it cannot run exactly.
+def build_plan(cache) -> Union[_Plan, str]:
+    """Classify ``cache`` for the kernel, or name what it cannot run.
+
+    On decline, returns the rejected role: ``"cache"`` (no access path,
+    observers attached, or a non-fresh store), ``"lookup"``,
+    ``"steering"``, ``"predictor"``, ``"replacement"`` or ``"dcp"``.
+    This is the only vector-eligibility declaration, and set-sharding
+    eligibility too (:func:`repro.sim.shard.shard_block`): every stack
+    it accepts keeps all its state set-local.
 
     Dispatch is on *exact* types: a subclass may override any method,
-    so inheriting a vectorizable policy (or its capability flag) does
-    not make the subclass's behavior one the kernel reproduces.
+    so inheriting from an accepted policy does not make the subclass's
+    behavior one the kernel reproduces.
     """
     path = getattr(cache, "path", None)
     if path is None or path.observers or not has_fresh_store(cache):
-        return None
+        return "cache"
     geometry = cache.geometry
     plan = _Plan()
     plan.ways = geometry.ways
@@ -138,7 +145,7 @@ def build_plan(cache) -> Optional[_Plan]:
         from repro.core.accord import _IdealizedLookup
 
         if lookup_type is not _IdealizedLookup:
-            return None
+            return "lookup"
         plan.flow = "ideal"
 
     steering = cache.steering
@@ -160,7 +167,7 @@ def build_plan(cache) -> Optional[_Plan]:
         plan.pip = steering.pip
         plan.steer_base = steering._pws._rng._base
     else:
-        return None
+        return "steering"
 
     predictor = cache.predictor
     plan.pred_base = 0
@@ -184,17 +191,17 @@ def build_plan(cache) -> Optional[_Plan]:
         elif predictor_type is PerfectPredictor:
             plan.pred = "perfect"
         else:
-            return None
+            return "predictor"
     # A predictor attached to a non-predicted flow still learns from
     # accesses; the kernel only models predictor state under the
     # predicted flow, so decline the (never built in-repo) combination.
     if (plan.flow == "predicted") != (plan.pred is not None):
-        return None
+        return "predictor"
 
     replacement = cache.replacement
     plan.repl = _REPLACEMENTS.get(type(replacement))
     if plan.repl is None:
-        return None
+        return "replacement"
     plan.repl_update = replacement.update_transfers_on_hit
     plan.repl_base = 0 if plan.repl == "lru" else replacement._rng._base
     plan.max_rrpv = replacement.max_rrpv if plan.repl == "rrip" else 0
@@ -204,10 +211,10 @@ def build_plan(cache) -> Optional[_Plan]:
         plan.dcp_exact = False
     elif type(dcp) is DcpDirectory:
         if len(dcp) != 0:
-            return None  # fresh-cache contract: nothing learned yet
+            return "dcp"  # fresh-cache contract: nothing learned yet
         plan.dcp_exact = True
     else:
-        return None
+        return "dcp"
     return plan
 
 
@@ -960,7 +967,7 @@ class VectorEngine:
     name = "vector"
 
     def supports(self, cache) -> bool:
-        return build_plan(cache) is not None
+        return not isinstance(build_plan(cache), str)
 
     def drive(
         self,
@@ -974,10 +981,11 @@ class VectorEngine:
         phase_sink=None,
     ) -> Optional[PhaseSeries]:
         plan = build_plan(cache)
-        if plan is None:
+        if isinstance(plan, str):
             raise SimulationError(
-                "vector engine cannot drive this cache exactly; use the "
-                "resolver (repro.sim.engines.resolve_engine) to fall back"
+                f"vector engine cannot drive this cache exactly ({plan}); "
+                f"use the resolver (repro.sim.engines.resolve_engine) to "
+                f"fall back"
             )
         sets, tags, writes, steps = _stream_arrays(stream, cache.geometry)
         (out,) = _simulate([plan], sets, tags, writes, steps)

@@ -12,14 +12,16 @@ shard against its own cache instance in a worker process, and sum the
 *bit-identical* to the serial run — the equivalence suite in
 ``tests/test_shard.py`` asserts it per design.
 
-Which designs qualify is declared, not guessed: every policy role
-carries the ``shardable`` capability
-(:func:`repro.core.protocols.cache_is_shardable`). GWS's global RIT/RLT
-region tables, set-dueling's PSEL counter, the finite DCP directory's
-LRU capacity bound, and the column-associative cache's cross-set
-alternate location all declare ``False``, and those designs fall back
-to the exact serial path with a one-time warning — never sharded
-silently wrong.
+Which designs qualify is declared, not guessed: a run shards exactly
+when the vector kernel has a plan for a fresh cache of its design
+(:func:`shard_block`). That kernel is itself a bundle of independent
+per-set recurrences, so every stack its plan builder accepts is
+set-local. GWS's global RIT/RLT region tables, set-dueling's PSEL
+counter, the finite DCP directory's LRU capacity bound, and the
+column-associative cache's cross-set alternate location all fall
+outside it, and those designs fall back to the exact serial path with
+a one-time warning naming the declined role — never sharded silently
+wrong.
 
 Phase-resolved runs stay exact too: epoch boundaries are counted in
 *global* post-warmup demand reads, so each shard precomputes its
@@ -46,10 +48,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.accord import AccordDesign
-from repro.core.protocols import cache_is_shardable, unshardable_roles
 from repro.errors import SimulationError
 from repro.params.system import SystemConfig
 from repro.sim.engines import get_engine, resolve_engine
+from repro.sim.engines.vector import build_plan
 from repro.sim.phases import PhaseSample, PhaseSeries
 from repro.sim.stats import CacheStats
 from repro.sim.system import RunResult, Simulator, build_dram_cache
@@ -84,6 +86,18 @@ def mark_worker_process() -> None:
 def effective_shard_count(shards: int, num_sets: int) -> int:
     """Shards actually usable: >= 1, at most one per set."""
     return max(1, min(shards, num_sets))
+
+
+def shard_block(cache) -> Optional[str]:
+    """The role that keeps a fresh ``cache`` off set-sharding, or None.
+
+    A run may be split by set range exactly when the vector kernel has
+    a plan for the cache (:func:`repro.sim.engines.vector.build_plan`):
+    the plan builder accepts only stacks whose every piece of state is
+    set-local. On decline it names the role it rejected.
+    """
+    plan = build_plan(cache)
+    return plan if isinstance(plan, str) else None
 
 
 # -- shard outcome -----------------------------------------------------------
@@ -348,25 +362,23 @@ def merge_outcomes(
 _FALLBACK_WARNED: set = set()
 
 
-def warn_serial_fallback(design: AccordDesign, cache) -> None:
+def warn_serial_fallback(design: AccordDesign, role: str) -> None:
     """One-time-per-design warning that sharding fell back to serial.
 
-    Suppressed inside pool workers (warn-once state is per-process);
-    the parent warns when it plans, see
-    :func:`repro.exec.jobs.plan_shards`.
+    ``role`` is the one :func:`shard_block` named. Suppressed inside
+    pool workers (warn-once state is per-process); the parent warns
+    when it plans, see :func:`repro.exec.jobs.plan_shards`.
     """
-    roles = tuple(unshardable_roles(cache))
-    key = (design.kind, design.ways, design.hashes, roles)
+    label = design.display_name
+    key = (label, role)
     if key in _FALLBACK_WARNED:
         return
     _FALLBACK_WARNED.add(key)
     if in_worker_process():
         return
-    label = design.label or design.kind
     warnings.warn(
-        f"design {label!r} has global policy state "
-        f"({', '.join(roles)}); --shards ignored, running serial "
-        f"(results stay exact)",
+        f"design {label!r} has global policy state ({role}); "
+        f"--shards ignored, running serial (results stay exact)",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -413,8 +425,8 @@ def run_sharded(
     """Run one (design, trace) pair split across shard workers.
 
     Bit-identical to ``Simulator(config, design, seed).run(trace,
-    warmup, epoch)`` for shardable designs; non-shardable designs (and
-    calls from inside a worker process — the nested-pool guard) take
+    warmup, epoch)`` for designs :func:`shard_block` clears; the others
+    (and calls from inside a worker process — the nested-pool guard) take
     that exact serial path instead. ``inline=True`` keeps the shard
     loop in-process (deterministic single-process execution of the same
     decomposition; used by tests and the Executor's flattened tasks).
@@ -433,9 +445,11 @@ def run_sharded(
         cache, requested=engine, strict=engine_strict, design=design
     ).name
     n_shards = effective_shard_count(shards, cache.geometry.num_sets)
-    if n_shards > 1 and not cache_is_shardable(cache):
-        warn_serial_fallback(design, cache)
-        n_shards = 1
+    if n_shards > 1:
+        role = shard_block(cache)
+        if role is not None:
+            warn_serial_fallback(design, role)
+            n_shards = 1
     if n_shards > 1 and not inline and in_worker_process():
         # Nested-pool hazard: a pool worker must not spawn grandchildren.
         inline = True
@@ -517,6 +531,7 @@ __all__ = [
     "merge_outcomes",
     "run_shard",
     "run_sharded",
+    "shard_block",
     "shard_segments",
     "warn_serial_fallback",
 ]

@@ -560,6 +560,30 @@ class TestResolver:
         assert engine.name == "stream"
         _ENGINE_FALLBACK_WARNED.clear()
 
+    @pytest.mark.parametrize("spec, requested, role, fallback", [
+        ("gws:2:replacement=lru", "replay", "replacement", "stream"),
+        ("unbiased:2:dcp=finite", "vector", "dcp", "stream"),
+    ])
+    def test_fallback_warning_names_declined_role(
+        self, spec, requested, role, fallback
+    ):
+        """The warning names the role the requested engine's plan
+        builder rejected, and the design by its display name."""
+        from repro.exec.jobs import parse_design_spec
+        from repro.sim.engines import _ENGINE_FALLBACK_WARNED
+
+        _ENGINE_FALLBACK_WARNED.clear()
+        cache, design = self._cache(parse_design_spec(spec))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine = resolve_engine(cache, requested=requested, design=design)
+        assert engine.name == fallback
+        (message,) = [str(w.message) for w in caught]
+        assert f"'{design.display_name}'" in message
+        assert f"declines its {role};" in message
+        assert f"--engine {requested} ignored" in message
+        _ENGINE_FALLBACK_WARNED.clear()
+
     def test_worker_processes_suppress_fallback_warning(self, monkeypatch):
         """Warn-once state is per-process; inside pool workers the
         warning is suppressed entirely (the parent warns at planning
@@ -622,6 +646,82 @@ class TestResolver:
             trace, warmup_fraction=0.3, engine="loop"
         )
         assert first.to_dict() == second.to_dict() == fresh.to_dict()
+
+
+#: Kinds whose policy state is global (GWS's RIT/RLT region tables,
+#: also inside accord and sws; set-dueling's PSEL).
+_GLOBAL_KINDS = ("gws", "accord", "sws", "dueling")
+
+
+def _eligibility_grid():
+    """Every kind x ways (x SWS hashes) x replacement x DCP mode."""
+    from repro.core.accord import DESIGN_KINDS
+
+    bases = [("direct", 1, 2), ("ca", 1, 2)]
+    for kind in DESIGN_KINDS:
+        if kind in ("direct", "ca"):
+            continue
+        for ways in (2, 4, 8):
+            hashes = (2, 3) if kind == "sws" and ways >= 4 else (2,)
+            bases.extend((kind, ways, h) for h in hashes)
+    return [
+        AccordDesign(kind=kind, ways=ways, hashes=hashes,
+                     replacement=replacement, dcp=dcp)
+        for kind, ways, hashes in bases
+        for replacement in ("random", "lru", "nru", "rrip")
+        for dcp in ("exact", "finite", "none")
+    ]
+
+
+_GRID = _eligibility_grid()
+
+
+def _expected_engine(design) -> str:
+    """The engine ``auto`` must pick, derived by rule rather than from
+    any plan builder: set-local stacks run on the vector kernel unless
+    the finite DCP's global capacity couples their sets; the replay
+    kernels take the CA cache and the global-state stacks with random
+    replacement; everything else runs on the stream loop."""
+    if design.kind == "ca" or (
+        design.kind in _GLOBAL_KINDS and design.replacement == "random"
+    ):
+        return "replay"
+    if design.kind not in _GLOBAL_KINDS and design.dcp != "finite":
+        return "vector"
+    return "stream"
+
+
+class TestEligibilityGrid:
+    """``auto`` resolution and set-sharding over the full design grid."""
+
+    def test_grid_counts(self):
+        counts = {}
+        for design in _GRID:
+            name = _expected_engine(design)
+            counts[name] = counts.get(name, 0) + 1
+        assert len(_GRID) == 480
+        assert counts == {"vector": 200, "replay": 54, "stream": 226}
+
+    @pytest.mark.parametrize(
+        "design", _GRID,
+        ids=[f"{d.kind}{d.ways}x{d.hashes}-{d.replacement}-{d.dcp}"
+             for d in _GRID],
+    )
+    def test_auto_engine_and_shard_plan(self, design):
+        """Auto picks the rule's engine, and the shard planner splits
+        exactly the designs that resolve to the vector kernel."""
+        from repro.exec.jobs import plan_shards
+
+        expected = _expected_engine(design)
+        config = scaled_system(ways=design.ways, scale=SCALE)
+        cache = build_dram_cache(design, config)
+        assert resolve_engine(cache).name == expected
+        key = JobKey(design=design, workload="soplex", num_accesses=1000,
+                     scale=SCALE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            count = plan_shards(key, 2)
+        assert (count > 1) == (expected == "vector")
 
 
 class TestJobKeyEngine:

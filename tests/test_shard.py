@@ -1,7 +1,7 @@
 """Set-sharded execution: deterministic merge, equivalence, fallback.
 
 The shard engine (:mod:`repro.sim.shard`) claims that for designs whose
-every policy role declares the ``shardable`` capability, a run split
+the vector kernel has a plan (:func:`repro.sim.shard.shard_block`), a run split
 into set-range shards and merged is *bit-identical* to the serial run.
 These tests pin that claim the same way ``test_fastpath.py`` pins the
 hot loop: every benchmark design variant, serial vs sharded, whole
@@ -20,8 +20,8 @@ from dataclasses import fields
 import pytest
 
 from repro.core.accord import AccordDesign
-from repro.core.protocols import cache_is_shardable, unshardable_roles
 from repro.errors import ConfigError, SimulationError
+from repro.exec.jobs import JobKey, plan_shards
 from repro.params.system import scaled_system
 from repro.sim.bench import BENCH_DESIGNS
 from repro.sim.phases import PhaseSample, PhaseSeries
@@ -298,37 +298,59 @@ class TestSerialShardedEquivalence:
 
 
 class TestShardableCapability:
+    """The shard planner splits exactly the set-local designs."""
+
+    @staticmethod
+    def _shard_count(design):
+        key = JobKey(design=design, workload="soplex", num_accesses=1000,
+                     scale=SCALE)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            count = plan_shards(key, 2)
+        return count, [str(w.message) for w in caught
+                       if "--shards ignored" in str(w.message)]
+
     def test_expected_classification(self):
-        shardable = set()
-        for design in BENCH_DESIGNS:
-            config = scaled_system(ways=design.ways, scale=SCALE)
-            if cache_is_shardable(build_dram_cache(design, config)):
-                shardable.add(design.display_name)
-        assert "pws-2way" in shardable
-        assert "direct-1way" in shardable
-        assert "mru-2way" in shardable
+        sharded = {
+            design.display_name
+            for design in BENCH_DESIGNS
+            if self._shard_count(design)[0] > 1
+        }
+        assert "pws-2way" in sharded
+        assert "direct-1way" in sharded
+        assert "mru-2way" in sharded
         # Global state: GWS tables (also inside accord/sws), the
         # dueling PSEL, and the cross-set CA cache must NOT shard.
-        assert "gws-2way" not in shardable
-        assert "ACCORD 2-way" not in shardable
-        assert "ACCORD SWS(8,2)" not in shardable
-        assert "dueling-2way" not in shardable
-        assert "ca-1way" not in shardable
+        assert "gws-2way" not in sharded
+        assert "ACCORD 2-way" not in sharded
+        assert "ACCORD SWS(8,2)" not in sharded
+        assert "dueling-2way" not in sharded
+        assert "ca-1way" not in sharded
 
     def test_unshardable_roles_are_named(self):
-        design = AccordDesign(kind="gws", ways=2)
-        config = scaled_system(ways=design.ways, scale=SCALE)
-        roles = unshardable_roles(build_dram_cache(design, config))
-        assert "steering" in roles and "predictor" in roles
+        """The fallback warning names the role the plan builder declined."""
+        cases = [
+            (dict(kind="gws", ways=2), "steering"),
+            (dict(kind="dueling", ways=2), "steering"),
+            (dict(kind="pws", ways=2, dcp="finite"), "dcp"),
+            (dict(kind="ca", ways=1), "cache"),
+        ]
+        for spec, role in cases:
+            design = AccordDesign(label=f"role-probe-{spec['kind']}", **spec)
+            count, messages = self._shard_count(design)
+            assert count == 1
+            assert len(messages) == 1, messages
+            assert f"'{design.label}'" in messages[0]
+            assert f"({role})" in messages[0]
 
     def test_fallback_warns_once_per_design(self, trace):
         import repro.sim.shard as shard_mod
 
         design = AccordDesign(kind="gws", ways=2, label="warn-probe")
         config = scaled_system(ways=design.ways, scale=SCALE)
-        # The warn-once memo is keyed by design identity (not label);
-        # earlier tests may already have tripped gws. Start fresh.
-        for k in [k for k in shard_mod._FALLBACK_WARNED if k[0] == "gws"]:
+        # The warn-once memo is keyed by display name; start fresh.
+        for k in [k for k in shard_mod._FALLBACK_WARNED
+                  if k[0] == "warn-probe"]:
             shard_mod._FALLBACK_WARNED.discard(k)
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -343,7 +365,8 @@ class TestShardableCapability:
             assert "warn-probe" in str(fallbacks[0].message)
         finally:
             # Drop the memo so other tests see fresh warn-once state.
-            key = [k for k in shard_mod._FALLBACK_WARNED if k[0] == "gws"]
+            key = [k for k in shard_mod._FALLBACK_WARNED
+                   if k[0] == "warn-probe"]
             for k in key:
                 shard_mod._FALLBACK_WARNED.discard(k)
 
