@@ -21,13 +21,6 @@ FIGURE_WORKLOAD_ORDER: List[str] = [
 ]
 
 
-def ordered_workloads(results: Dict[str, RunResult]) -> List[str]:
-    """Workloads present in ``results``, in the paper's figure order."""
-    ordered = [w for w in FIGURE_WORKLOAD_ORDER if w in results]
-    ordered.extend(sorted(w for w in results if w not in FIGURE_WORKLOAD_ORDER))
-    return ordered
-
-
 def per_workload_table(
     columns: Dict[str, Dict[str, float]],
     title: str,

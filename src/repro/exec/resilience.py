@@ -267,10 +267,6 @@ class SweepJournal:
         digests = sorted({key.digest() for key in keys})
         return hashlib.sha256("\n".join(digests).encode("ascii")).hexdigest()
 
-    @property
-    def done_count(self) -> int:
-        return len(self._done)
-
     def begin(
         self, keys: Sequence[Any], meta: Optional[Dict[str, Any]] = None
     ) -> None:

@@ -182,9 +182,10 @@ def add_settings_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", type=str, default="auto",
                         choices=ENGINE_NAMES,
                         help="drive engine: auto picks the fastest exact "
-                             "engine per design (vector kernel, batched "
-                             "stream loop, or per-access reference loop); "
-                             "results are identical under every engine")
+                             "engine per design (vector kernel, sparse "
+                             "replay kernel, batched stream loop, or "
+                             "per-access reference loop); results are "
+                             "identical under every engine")
     parser.add_argument("--engine-strict", action="store_true",
                         dest="engine_strict",
                         help="error instead of falling back when the "

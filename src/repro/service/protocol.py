@@ -95,7 +95,10 @@ async def read_request(
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise ProtocolError(f"malformed request line: {line!r}")
     method, target = parts[0].upper(), parts[1]
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unclosed "[" IPv6 host
+        raise ProtocolError(f"malformed request target: {exc}")
     query = {
         name: values[-1]
         for name, values in parse_qs(split.query).items()
@@ -118,22 +121,26 @@ async def read_request(
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
             raise ProtocolError(f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ProtocolError("conflicting Content-Length headers")
+        headers[name] = value
 
     body = b""
     length_text = headers.get("content-length")
     if length_text is not None:
-        try:
-            length = int(length_text)
-        except ValueError:
+        # ASCII digits only: int() would also take "+5", "0_5" and "-0".
+        if not (length_text.isascii() and length_text.isdigit()):
             raise ProtocolError(f"bad Content-Length: {length_text!r}")
-        if length < 0:
-            raise ProtocolError(f"bad Content-Length: {length_text!r}")
-        if length > max_body:
+        # Bound the digit count before int(): it refuses very long
+        # digit strings (sys.int_info.default_max_str_digits).
+        digits = length_text.lstrip("0") or "0"
+        if len(digits) > 18 or int(digits) > max_body:
             raise ProtocolError(
-                f"request body of {length} bytes exceeds the "
+                f"request body of {digits} bytes exceeds the "
                 f"{max_body}-byte limit", status=413,
             )
+        length = int(digits)
         try:
             body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:

@@ -415,9 +415,22 @@ def trace_from_arrays(
     writes: Iterable[int],
     instructions_per_access: float,
 ) -> Trace:
-    """Build a trace from any iterables (materializes lists)."""
-    return Trace(name, list(addrs), bytearray(1 if w else 0 for w in writes),
-                 instructions_per_access)
+    """Build a trace from any iterables (copies them).
+
+    Numpy columns go to :class:`Trace`'s array-backed form, whose
+    ``addrs`` yields Python ints: ``list()`` of an ndarray would hand
+    ``np.int64`` items to the scalar engines, where the junk-tag address
+    arithmetic overflows.
+    """
+    if isinstance(addrs, np.ndarray):
+        addrs = np.array(addrs, dtype=np.int64)
+    else:
+        addrs = list(addrs)
+    if isinstance(writes, np.ndarray):
+        writes = (writes != 0).astype(np.uint8)
+    else:
+        writes = bytearray(1 if w else 0 for w in writes)
+    return Trace(name, addrs, writes, instructions_per_access)
 
 
 _HEADER = "# repro-trace-v1"

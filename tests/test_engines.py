@@ -807,3 +807,77 @@ class TestResultDigestProperties:
                 node = node[key]
             node[path[-1]] += 1
             assert payload_digest(perturbed, ref["phases"]) != base, path
+
+
+def distinct_line_trace(seed: int, n: int = 8000) -> Trace:
+    """Mixed read/write trace in which no line appears twice."""
+    rng = XorShift64(seed)
+    seen = set()
+    addrs = []
+    writes = bytearray()
+    while len(addrs) < n:
+        line = rng.next_below(1 << 26)
+        if line in seen:
+            continue
+        seen.add(line)
+        addrs.append(line * 64)
+        writes.append(1 if rng.next_below(4) == 0 else 0)
+    return Trace(f"distinct-{seed}", addrs, writes, instructions_per_access=40.0)
+
+
+@pytest.fixture(scope="module")
+def workload_traces():
+    from repro.sim.runner import TraceFactory
+
+    factory = TraceFactory(scaled_system(ways=1, scale=SCALE), 20_000, seed=7)
+    return {name: factory.trace_for(name) for name in ("soplex", "mcf")}
+
+
+class TestMetamorphic:
+    """Relations between runs that hold whatever the reference says."""
+
+    @staticmethod
+    def _observables(result):
+        stats = result.stats
+        return (result.hit_rate, stats.writebacks_in, stats.nvm_reads,
+                stats.nvm_writes)
+
+    @pytest.mark.parametrize("engine", ["auto", "loop"])
+    @pytest.mark.parametrize("kind", ["accord", "gws", "pws", "unbiased"])
+    @pytest.mark.parametrize("workload", ["soplex", "mcf"])
+    def test_one_way_designs_match_direct_mapped(self, kind, workload, engine,
+                                                 workload_traces):
+        """With one way there is nothing to steer or predict."""
+        trace = workload_traces[workload]
+        config = scaled_system(ways=1, scale=SCALE)
+        direct = Simulator(config, AccordDesign("direct", ways=1), seed=5).run(
+            trace, engine=engine
+        )
+        one_way = Simulator(config, AccordDesign(kind, ways=1), seed=5).run(
+            trace, engine=engine
+        )
+        assert 0.0 < direct.hit_rate < 1.0 and direct.stats.writebacks_in > 0
+        assert self._observables(one_way) == self._observables(direct)
+
+    @pytest.mark.parametrize("design", [
+        AccordDesign("direct", ways=1),
+        AccordDesign("accord", ways=2),
+        AccordDesign("sws", ways=8, hashes=2),
+        AccordDesign("gws", ways=2),
+        AccordDesign("unbiased", ways=2, replacement="lru"),
+        AccordDesign("ca", ways=1),
+        AccordDesign("dueling", ways=2),
+        AccordDesign("pws", ways=4, dcp="finite"),
+    ], ids=_design_id)
+    def test_distinct_lines_never_hit(self, design):
+        trace = distinct_line_trace(11)
+        config = scaled_system(ways=design.ways, scale=SCALE)
+        cache = build_dram_cache(design, config)
+        accepting = [name for name, eng in ENGINES.items() if eng.supports(cache)]
+        assert "loop" in accepting
+        for name in accepting:
+            result = Simulator(config, design, seed=5).run(
+                trace, warmup_fraction=0.0, engine=name, engine_strict=True
+            )
+            assert result.stats.demand_reads > 0
+            assert result.stats.hits == 0, name

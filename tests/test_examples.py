@@ -52,6 +52,12 @@ class TestExamples:
         assert module.pretty_bytes(4 * 1024 * 1024) == "4MB"
         assert module.pretty_bytes(320) == "320B"
 
+    def test_mix_contention_study(self):
+        # The only caller of sim/multicore.py and sim/cpu.py outside tests.
+        out = run_example("mix_contention_study.py", "--accesses", "10000")
+        assert "weighted speedup  ACCORD 2-way:" in out
+        assert "weighted speedup  ACCORD SWS(8,2):" in out
+
     def test_row_buffer_study(self):
         out = run_example("row_buffer_study.py")
         assert "row-hit rate" in out

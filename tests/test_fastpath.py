@@ -2,12 +2,12 @@
 
 The simulator has three ways to drive a trace through a cache:
 
-1. the legacy per-address loop (``fast_path=False``: ``geometry.split``
+1. the per-address reference loop (``engine="loop"``: ``geometry.split``
    per access, ``cache.read``/``cache.writeback``);
-2. the batched :meth:`AccessPath.run_stream` over precomputed split
-   columns (``fast_path=True``, no observers) — the measured fast path
-   with hoisted invariants and local counter accumulation;
-3. the observer fallback inside ``run_stream`` (``fast_path=True`` with
+2. the default ``engine="auto"`` drive, which for the fresh caches here
+   picks an array kernel or the batched :meth:`AccessPath.run_stream`
+   over precomputed split columns — the measured fast paths;
+3. the observer fallback inside ``run_stream`` (default engine with
    an observer attached): per-access split entry points emitting the
    typed event stream.
 
@@ -65,10 +65,10 @@ class TestFastPathEquivalence:
     def test_fast_path_matches_per_address_loop(self, design, trace):
         config = scaled_system(ways=design.ways, scale=1.0 / 2048.0)
         fast = Simulator(config, design, seed=5).run(
-            trace, warmup_fraction=0.3, fast_path=True
+            trace, warmup_fraction=0.3
         )
         slow = Simulator(config, design, seed=5).run(
-            trace, warmup_fraction=0.3, fast_path=False
+            trace, warmup_fraction=0.3, engine="loop"
         )
         assert fast.to_dict() == slow.to_dict()
 
@@ -89,12 +89,12 @@ class TestFastPathEquivalence:
         """
         config = scaled_system(ways=design.ways, scale=1.0 / 2048.0)
         fast = Simulator(config, design, seed=5).run(
-            trace, warmup_fraction=0.0, fast_path=True
+            trace, warmup_fraction=0.0
         )
         observed_sim = Simulator(config, design, seed=5)
         shadow = StatsObserver()
         observed_sim.cache.add_observer(shadow)
-        observed = observed_sim.run(trace, warmup_fraction=0.0, fast_path=True)
+        observed = observed_sim.run(trace, warmup_fraction=0.0)
         assert fast.to_dict() == observed.to_dict()
         assert shadow.stats.to_dict() == observed.stats.to_dict()
 
@@ -108,11 +108,11 @@ class TestFastPathEquivalence:
         warmup counter reset too (shadow totals aside)."""
         config = scaled_system(ways=design.ways, scale=1.0 / 2048.0)
         fast = Simulator(config, design, seed=5).run(
-            trace, warmup_fraction=0.3, fast_path=True
+            trace, warmup_fraction=0.3
         )
         observed_sim = Simulator(config, design, seed=5)
         observed_sim.cache.add_observer(StatsObserver())
-        observed = observed_sim.run(trace, warmup_fraction=0.3, fast_path=True)
+        observed = observed_sim.run(trace, warmup_fraction=0.3)
         assert fast.to_dict() == observed.to_dict()
 
     def test_zero_warmup_and_full_trace_windows_agree(self, trace):
@@ -120,10 +120,10 @@ class TestFastPathEquivalence:
         config = scaled_system(ways=2, scale=1.0 / 2048.0)
         for warmup in (0.0, 0.5, 0.9):
             fast = Simulator(config, design, seed=5).run(
-                trace, warmup_fraction=warmup, fast_path=True
+                trace, warmup_fraction=warmup
             )
             slow = Simulator(config, design, seed=5).run(
-                trace, warmup_fraction=warmup, fast_path=False
+                trace, warmup_fraction=warmup, engine="loop"
             )
             assert fast.to_dict() == slow.to_dict()
 

@@ -9,6 +9,7 @@ import asyncio
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.accord import AccordDesign
 from repro.errors import ConfigError, ExecutionError
@@ -16,6 +17,7 @@ from repro.exec import Executor, JobKey, ResultStore, SweepJournal
 from repro.exec.faults import FAULT_PLAN_ENV
 from repro.exec.jobs import RESULT_SCHEMA_VERSION
 from repro.experiments.common import Settings
+from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobspec import (
     DEFAULT_ACCESSES,
@@ -299,6 +301,108 @@ class TestJobManager:
             assert not list(service_dir.glob("batch-*.journal.jsonl"))
 
         asyncio.run(scenario())
+
+
+def parse_request(data: bytes, max_body: int = protocol.MAX_BODY_BYTES):
+    """Run :func:`protocol.read_request` over ``data`` then EOF."""
+
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await protocol.read_request(reader, max_body=max_body)
+
+    return asyncio.run(go())
+
+
+def raw_request(*headers: str, body: bytes = b"") -> bytes:
+    head = "".join(f"{h}\r\n" for h in ("POST /jobs HTTP/1.1",) + headers)
+    return (head + "\r\n").encode("latin-1") + body
+
+
+_TARGET = st.lists(st.sampled_from([
+    "/", "jobs", "?", "x=1", "&", "%ff", "http://", "[", "::1", "]", "#", "\x85",
+]), min_size=1, max_size=6).map("".join)
+_HEADER = st.builds(
+    "{}:{}".format,
+    st.sampled_from(["Content-Length", "content-length", "Transfer-Encoding",
+                     "Accept", "X", ""]),
+    st.sampled_from(["5", " 5 ", "0", "12", "+5", "-0", "0_5", "\xb2", "9" * 30,
+                     "chunked", "text/event-stream", "", "\xa0"]),
+)
+_LINE = st.builds(
+    "{} {} {}".format,
+    st.sampled_from(["GET", "POST", "get"]),
+    _TARGET,
+    st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2"]),
+)
+
+#: Byte strings that are request-shaped often enough to get past the
+#: request line and headers, mixed with arbitrary bytes. ``cut``
+#: truncates the head (``None`` keeps it whole).
+_REQUEST_BYTES = st.one_of(
+    st.binary(max_size=300),
+    st.builds(
+        lambda line, headers, body, cut: (
+            "".join(f"{h}\r\n" for h in [line] + headers) + "\r\n"
+        ).encode("latin-1")[:cut] + body,
+        _LINE,
+        st.lists(_HEADER, max_size=4),
+        st.binary(max_size=40),
+        st.one_of(st.none(), st.integers(0, 200)),
+    ),
+)
+
+
+class TestRequestParser:
+    """``read_request`` on arbitrary bytes: a Request, None or 4xx."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_REQUEST_BYTES, max_body=st.integers(0, 64))
+    def test_arbitrary_bytes_parse_or_raise_protocol_error(self, data, max_body):
+        try:
+            request = parse_request(data, max_body=max_body)
+        except protocol.ProtocolError as exc:
+            assert exc.status in (400, 413)
+            return
+        assert (request is None) == (data == b"")
+        if request is not None:
+            assert len(request.body) <= max_body
+            length = request.headers.get("content-length")
+            if length is not None:
+                assert length.isascii() and length.isdigit()
+                assert len(request.body) == int(length)
+
+    @pytest.mark.parametrize("value", ["+5", "0_5", "-0", "5 5", "0x5", "\xb2", ""])
+    def test_content_length_must_be_ascii_digits(self, value):
+        data = raw_request(f"Content-Length: {value}", body=b"hello")
+        with pytest.raises(protocol.ProtocolError) as info:
+            parse_request(data)
+        assert info.value.status == 400
+
+    def test_differing_duplicate_content_lengths_rejected(self):
+        data = raw_request("Content-Length: 5", "Content-Length: 2",
+                           body=b"hello")
+        with pytest.raises(protocol.ProtocolError) as info:
+            parse_request(data)
+        assert info.value.status == 400
+
+    def test_identical_duplicate_content_lengths_accepted(self):
+        data = raw_request("Content-Length: 5", "content-length: 5",
+                           body=b"hello")
+        assert parse_request(data).body == b"hello"
+
+    @pytest.mark.parametrize("length", ["6", "9" * 5000])
+    def test_oversized_body_is_413(self, length):
+        data = raw_request(f"Content-Length: {length}", body=b"hello!")
+        with pytest.raises(protocol.ProtocolError) as info:
+            parse_request(data, max_body=5)
+        assert info.value.status == 413
+
+    def test_unparseable_target_is_400(self):
+        with pytest.raises(protocol.ProtocolError) as info:
+            parse_request(b"GET http://[::1 HTTP/1.1\r\n\r\n")
+        assert info.value.status == 400
 
 
 class TestServiceHTTP:

@@ -1,5 +1,6 @@
 """Tests for the Simulator, runner helpers and design orchestration."""
 
+import numpy as np
 import pytest
 
 from repro.core.accord import AccordDesign
@@ -72,6 +73,38 @@ class TestSimulator:
     def test_build_dram_cache_uses_design_ways(self):
         cache = build_dram_cache(AccordDesign(kind="accord", ways=2), small_config())
         assert cache.geometry.ways == 2
+
+
+class TestNumpyColumnTraces:
+    """``trace_from_arrays`` accepts numpy columns on every engine."""
+
+    @staticmethod
+    def _columns(n=8000):
+        rng = np.random.default_rng(3)
+        addrs = rng.integers(0, 1 << 22, n) * 64
+        writes = (rng.random(n) < 0.2).astype(np.uint8)
+        return addrs, writes
+
+    @pytest.mark.parametrize("engine", ["loop", "auto"])
+    @pytest.mark.parametrize("kind,ways", [("direct", 1), ("accord", 2)])
+    def test_numpy_and_list_columns_agree(self, kind, ways, engine):
+        design = AccordDesign(kind=kind, ways=ways)
+        config = small_config(ways)
+        addrs, writes = self._columns()
+        from_numpy = trace_from_arrays("t", addrs, writes, 40.0)
+        from_lists = trace_from_arrays("t", addrs.tolist(), writes.tolist(), 40.0)
+        assert all(type(a) is int for a in from_numpy.addrs[:10])
+        a = Simulator(config, design, seed=1).run(from_numpy, engine=engine)
+        b = Simulator(config, design, seed=1).run(from_lists, engine=engine)
+        assert a.to_dict() == b.to_dict()
+
+    def test_numpy_columns_are_copied_and_flags_normalized(self):
+        addrs, writes = self._columns(100)
+        first = int(addrs[0])
+        trace = trace_from_arrays("t", addrs, writes * 3, 40.0)
+        addrs[0] = first + 64
+        assert trace.addrs[0] == first
+        assert set(trace.writes) == {0, 1}
 
 
 class TestRunner:
